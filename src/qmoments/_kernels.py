@@ -1,10 +1,11 @@
 """Hot numerical kernels with two interchangeable backends.
 
-The panelized quadrature and the Holder-exponent scans spend essentially
-all of their time in two loops: Gauss-Legendre node sums over panels, and
-pointwise Weierstrass partial sums over probe grids.  Both are written
-twice: once as plain loops compiled by numba, once as chunked numpy
-vector code.  The numba path is the default; set ``QMOMENTS_DISABLE_NUMBA=1``
+The Holder-exponent scans spend essentially all of their time in
+pointwise Weierstrass partial sums over probe grids.  The composite
+Gauss-Legendre panel sum is no longer on the quadrature path (that uses
+Filon weights, see :mod:`qmoments.quadrature`); it stays as the reference
+rule the tests compare against.  Each kernel is written twice: once as
+plain loops compiled by numba, once as chunked numpy vector code.  The numba path is the default; set ``QMOMENTS_DISABLE_NUMBA=1``
 in the environment (or run without numba installed) to select the numpy
 path.  Results agree to float64 rounding, and ``benchmarks/bench_kernels.py``
 compares their throughput.

@@ -18,28 +18,37 @@ a few eps regardless of how large the moments grow.
 
 Design points
 -------------
-* Composite Gauss-Legendre with 32 nodes per panel and at most 3
-  oscillation periods per panel (>= 10 nodes per period).  The error
-  estimate comes from an independent second pass at 1.5x the panel count,
-  never from the tolerance the caller asked for.
+* Every component (the base weight, each sine and each cosine harmonic)
+  uses the same smooth panel grid: panels of width <= 0.75/k with 32
+  Gauss-Legendre nodes each, so the cost of a component does not depend
+  on its harmonic.  Oscillatory panels use Filon weights (Iserles &
+  Norsett 2005): the envelope's degree-31 interpolant at the nodes is
+  integrated against ``exp(i a x)`` exactly, through
+  ``integral_{-1}^{1} P_l(x) exp(i a x) dx = 2 i**l j_l(a)`` (DLMF 10.60),
+  with ``a = omega * half`` the same on every panel of a pass.  At
+  ``a = 0`` the weights are the Gauss-Legendre weights themselves.  The
+  error estimate comes from an independent second pass at 1.5x the panel
+  count, never from the tolerance the caller asked for.
 * Oscillatory phases are anchored per panel at double-double accuracy by
   folding ``harmonic * (mu + c) / ln q`` into [0, 1).  The integer-
   harmonic structure is *not* used to reduce phases symbolically: the
-  sine integrals must be seen to vanish by honest numerical evaluation,
-  not by an identity baked into the evaluator.
+  sine integrals must be seen to vanish by honest numerical evaluation
+  (cancellation across panels), not by an identity baked into the
+  evaluator.
 * Weierstrass modulators integrate term by term.  Per-harmonic integrals
   are cached across ``lam`` sweeps (the integral is linear in the
   amplitude), but never shared across different moment orders n: the
   n-independence of the modulator factor is a claim under test.
-* Three error components are recorded separately: quadrature refinement,
-  Gaussian domain truncation, and (for Weierstrass content) the dropped
-  series tail.  The first two bound the deviation from the exact integral
-  of the *constructed, truncated* object and form ``error_estimate``; the
+* Three error components are recorded separately: quadrature refinement
+  (plus the eps * sigma granularity of the log-scaled value), Gaussian
+  domain truncation, and (for Weierstrass content) the dropped series
+  tail.  The first two bound the deviation from the exact integral of
+  the *constructed, truncated* object and form ``error_estimate``; the
   series component measures distance to the untruncated limit object and
   is reported alongside, not mixed in.
-* Node demand is estimated up front; if it exceeds the budget the
-  computation raises :class:`BudgetExceededError` rather than silently
-  under-resolving.
+* Every integral is planned up front.  A harmonic above 2**53 (whose
+  phase cannot be folded exactly) or a plan above the node budget raises
+  :class:`BudgetExceededError` rather than silently under-resolving.
 """
 
 from __future__ import annotations
@@ -51,9 +60,15 @@ from typing import Union
 
 import numpy as np
 
-from . import _dd, _kernels
+from . import _dd
 from .logscale import LogScaled
-from .measures import LogNormalWeight, Modulator, PerturbedDensity, _lnq_dd
+from .measures import (
+    _MAX_EXACT_HARMONIC,
+    LogNormalWeight,
+    Modulator,
+    PerturbedDensity,
+    _lnq_dd,
+)
 
 __all__ = [
     "QuadratureSpec",
@@ -78,11 +93,28 @@ MOMENT_SIGN_NOTE = (
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _NODES_PER_PANEL = 32
 _SIN, _COS = 1, 2
+
+
+def _filon_matrix() -> np.ndarray:
+    """M[i, l] = w_i (2l+1) i**l P_l(x_i), so that W(a) = M @ j(a).
+
+    ``(2l+1)/2 * w_i P_l(x_i)`` maps node values to the Legendre
+    coefficients of their degree-31 interpolant, and each P_l integrates
+    against exp(i a x) to ``2 i**l j_l(a)``.
+    """
+    l = np.arange(_NODES_PER_PANEL)
+    leg = np.polynomial.legendre.legvander(_GL_NODES, _NODES_PER_PANEL - 1)
+    i_pow = np.array([1, 1j, -1, -1j])[l % 4]
+    return _GL_WEIGHTS[:, None] * leg * ((2.0 * l + 1.0) * i_pow)
+
+
+_FILON_MATRIX = _filon_matrix()
 _KIND_CODE = {"sine": _SIN, "cosine": _COS}
 
 
 class BudgetExceededError(Exception):
-    """Raised when resolving an integral would exceed the node budget."""
+    """Raised when an integral cannot be planned: it would exceed the node
+    budget, or a harmonic's phase cannot be folded exactly."""
 
 
 @dataclass(frozen=True)
@@ -164,16 +196,6 @@ def _smooth_panel_count(T: float, k: float) -> int:
     return max(8, math.ceil(2.0 * T * k / 0.75))
 
 
-def _osc_panel_count(T: float, k: float, harmonic: int) -> int:
-    # |omega| = 4*pi*harmonic*k**2 in the centered variable; cap panels at
-    # 3 periods so each carries >= 10.67 nodes per period.
-    omega = 4.0 * math.pi * float(harmonic) * k * k
-    if not math.isfinite(omega):
-        return -1  # sentinel: unresolvable
-    periods = omega * T / math.pi  # 2T * omega / (2 pi)
-    return max(_smooth_panel_count(T, k), math.ceil(periods / 3.0))
-
-
 def _pass_counts(p_coarse: int) -> tuple:
     return p_coarse, math.ceil(1.5 * p_coarse)
 
@@ -229,8 +251,8 @@ def _panel_grid(T: float, p: int):
 def _phase_anchors(k: float, mu: float, harmonic: int, centers):
     """2*pi * frac(harmonic * (mu + c) / ln q) per panel, dd-accurate.
 
-    The node budget caps harmonics far below 2**53, so float(harmonic)
-    is exact here.
+    :func:`_plan_components` refuses harmonics above 2**53, so
+    float(harmonic) is exact here.
     """
     lh, ll = _lnq_dd(k)
     th, tl = _dd.dd_add_d(
@@ -243,9 +265,76 @@ def _phase_anchors(k: float, mu: float, harmonic: int, centers):
 
 
 def _omega_s(k: float, harmonic: int) -> float:
-    # d/ds of 2*pi*harmonic*(mu+s)/ln q; ln q < 0 flips the sign, which
-    # matters not at all under the integral but is kept literal.
-    return 2.0 * math.pi * float(harmonic) / (-1.0 / (2.0 * k * k))
+    # d/ds of 2*pi*harmonic*(mu+s)/ln q = -4*pi*harmonic*k**2; ln q < 0
+    # flips the sign, which matters not at all under the integral but is
+    # kept literal.  Overflows to -inf rather than raising.
+    return -4.0 * math.pi * float(harmonic) * k * k
+
+
+def _spherical_jn(a: float) -> np.ndarray:
+    """j_0(a), ..., j_31(a), the spherical Bessel functions of the first kind.
+
+    Forward recurrence is stable while l < |a|, so it serves |a| >= 32.
+    Below that, Miller's backward recurrence runs down from l = 36 +
+    floor|a|, far enough past both 31 and |a| that the start's error has
+    decayed below 1e-20 by l = 31, and is normalised by sum_l (2l+1)
+    j_l(a)**2 = 1 (DLMF 10.60); the sign comes from the larger of the
+    closed forms j_0, j_1.  Negative a uses j_l(-a) = (-1)**l j_l(a).
+    """
+    x = abs(a)
+    top = _NODES_PER_PANEL - 1
+    if x == 0.0:
+        out = [1.0] + [0.0] * top
+    else:
+        s, c = math.sin(x), math.cos(x)
+        j0, j1 = s / x, (s / x - c) / x
+        if x >= _NODES_PER_PANEL:
+            out = [j0, j1]
+            for l in range(1, top):
+                out.append((2 * l + 1) / x * out[l] - out[l - 1])
+        else:
+            out = [0.0] * (top + 1)
+            f_up, f, norm = 0.0, 1.0, 0.0
+            for l in range(36 + int(x), 0, -1):
+                if l <= top:
+                    out[l] = f
+                norm += (2 * l + 1) * f * f
+                f_up, f = f, (2 * l + 1) / x * f - f_up
+                if abs(f) > 1e100:  # small x grows fast; rescale
+                    f_up, f, norm = f_up * 1e-100, f * 1e-100, norm * 1e-200
+                    out = [v * 1e-100 for v in out]
+            out[0] = f
+            norm += f * f
+            ref, got = (j0, out[0]) if abs(j0) >= abs(j1) else (j1, out[1])
+            scale = math.copysign(1.0 / math.sqrt(norm), ref * got)
+            out = [v * scale for v in out]
+    j = np.array(out)
+    if a < 0.0:
+        j[1::2] = -j[1::2]
+    return j
+
+
+def _filon_weights(a: float) -> np.ndarray:
+    """Complex node weights W_i = w_i sum_l (2l+1) i**l j_l(a) P_l(x_i).
+
+    ``sum_i W_i f(x_i)`` integrates the degree-31 interpolant of f at the
+    Gauss-Legendre nodes against exp(i a x) over [-1, 1] exactly; at a = 0
+    it is the Gauss-Legendre rule itself.
+    """
+    return _FILON_MATRIX @ _spherical_jn(a)
+
+
+def _filon_panels(centers, half, ksq, c0, c1, phase0, omega, kind):
+    """Per-panel integrals, same contract as ``_kernels.gauss_panels``.
+
+    Each panel is ``half * Im/Re(exp(i phase0) * sum_i W_i(a) E(s_i))``
+    with ``E(s) = exp(-ksq s**2 + c0 + c1 s)`` and ``a = omega * half``;
+    kind 1 takes the imaginary part (sine), kinds 0 and 2 the real part.
+    """
+    s = centers[:, None] + half * _GL_NODES
+    env = np.exp(-ksq * s * s + c0 + c1 * s)
+    z = np.exp(1j * phase0) * (env @ _filon_weights(omega * half))
+    return half * (z.imag if kind == _SIN else z.real)
 
 
 def _component_pass(k, mu, c0, c1, harmonic, kind_code, T, p):
@@ -256,9 +345,7 @@ def _component_pass(k, mu, c0, c1, harmonic, kind_code, T, p):
     else:
         phase0 = _phase_anchors(k, mu, harmonic, centers)
         omega = _omega_s(k, harmonic)
-    partials = _kernels.gauss_panels(
-        centers, half, _GL_NODES, _GL_WEIGHTS, k * k, c0, c1, phase0, omega, kind_code
-    )
+    partials = _filon_panels(centers, half, k * k, c0, c1, phase0, omega, kind_code)
     return float(np.sum(partials))
 
 
@@ -274,41 +361,38 @@ def _component_integral(k, n, harmonic, kind_code, rel_tol, truncation, node_bud
     spec = QuadratureSpec(rel_tol, truncation, node_budget)
     T = _truncation_width(spec, k)
     mu, _, c0, c1 = _center_residuals(k, n)
-    if kind_code == 0:
-        p = _smooth_panel_count(T, k)
-    else:
-        p = _osc_panel_count(T, k, harmonic)
-    pc, pf = _pass_counts(p)
+    pc, pf = _pass_counts(_smooth_panel_count(T, k))
     j_coarse = _component_pass(k, mu, c0, c1, harmonic, kind_code, T, pc)
     j_fine = _component_pass(k, mu, c0, c1, harmonic, kind_code, T, pf)
     nodes = _NODES_PER_PANEL * (pc + pf)
     return j_fine, abs(j_fine - j_coarse), nodes
 
 
-def _plan_components(k, T, modes):
-    """Panel counts per component; raises if any harmonic is unresolvable."""
-    plans = [("base", 0, 0, _smooth_panel_count(T, k))]
-    for amp, harmonic, kind in modes:
-        p = _osc_panel_count(T, k, harmonic)
-        if p < 0:
+def _plan_components(k, T, modes, spec: QuadratureSpec) -> None:
+    """Raise BudgetExceededError unless the base and every mode can be integrated.
+
+    A harmonic above 2**53 cannot be folded exactly by the phase anchors,
+    and a non-finite ``a = omega * half`` cannot be integrated at all.
+    """
+    p = _smooth_panel_count(T, k)
+    half = T / p  # the coarse pass; the fine pass has smaller panels
+    for _, harmonic, _ in modes:
+        if harmonic > _MAX_EXACT_HARMONIC or not math.isfinite(
+            _omega_s(k, harmonic) * half
+        ):
             raise BudgetExceededError(
-                f"harmonic {harmonic} at k={k} cannot be resolved at all "
-                "(oscillation count overflows float64)"
+                f"harmonic {harmonic} at k={k} cannot be integrated: phases "
+                "need harmonic <= 2**53 and a finite oscillation per panel"
             )
-        plans.append((kind, harmonic, _KIND_CODE[kind], p))
-    return plans
-
-
-def _check_budget(plans, spec: QuadratureSpec) -> int:
-    total = sum(_component_nodes(p) for _, _, _, p in plans)
+    components = 1 + len(modes)
+    per_component = _component_nodes(p)
+    total = components * per_component
     if total > spec.node_budget:
-        worst = max(plans, key=lambda e: e[3])
         raise BudgetExceededError(
-            f"integral needs {total} nodes, budget is {spec.node_budget}; "
-            f"dominant component: kind={worst[0]!r} harmonic={worst[1]} "
-            f"({worst[3]} panels). Raise node_budget or lower the harmonic."
+            f"integral needs {total} nodes for {components} components "
+            f"({per_component} each), budget is {spec.node_budget}. "
+            "Raise node_budget or use fewer modes."
         )
-    return total
 
 
 _EPS = 2.220446049250313e-16
@@ -362,8 +446,7 @@ def integrate_moment(
     if lam == 0.0:
         modes = []
     T = _truncation_width(spec, k)
-    plans = _plan_components(k, T, modes)
-    _check_budget(plans, spec)
+    _plan_components(k, T, modes, spec)
 
     sigma, _, _ = _sigma_dd(k, n)
     j_base, dj_base, nodes = _component_integral(
@@ -383,7 +466,9 @@ def integrate_moment(
     i_hat = (k * _INV_SQRT_PI) * total
     sup = sum(abs(a) for a, _, _ in modes)
     rel_tail = (1.0 + abs(lam) * sup) * math.erfc(k * T)
-    rel_quad = max((k * _INV_SQRT_PI) * dj_total, 8.0 * _EPS)
+    # the value is stored as sigma + ln|i_hat|, so value_over_scale()
+    # carries ~eps * |sigma| of representation error on top of quadrature
+    rel_quad = max((k * _INV_SQRT_PI) * dj_total, 8.0 * _EPS) + _EPS * abs(sigma)
     value = (
         LogScaled.zero()
         if i_hat == 0.0
@@ -423,8 +508,7 @@ def vanishing_integral(
     j = int(j)
     k = w.k
     T = _truncation_width(spec, k)
-    plans = _plan_components(k, T, [(1.0, j, "sine")])
-    _check_budget(plans, spec)
+    _plan_components(k, T, [(1.0, j, "sine")], spec)
 
     sigma, _, _ = _sigma_dd(k, n)
     j_sin, dj, nodes = _component_integral(
@@ -440,7 +524,10 @@ def vanishing_integral(
     return QuadratureResult(
         value=value,
         ln_scale=ln_scale,
-        rel_quad_error=max(inv_scale * dj, 8.0 * _EPS),
+        # the stored sigma + ln|j_sin| is off by ~eps * |sigma| relative to
+        # the value itself, which is near 0 here, not near the scale
+        rel_quad_error=max(inv_scale * dj, 8.0 * _EPS)
+        + _EPS * abs(sigma) * inv_scale * abs(j_sin),
         rel_tail_error=math.erfc(k * T),
         series_tail_budget=0.0,
         nodes_used=nodes,

@@ -3,6 +3,9 @@
 Everything here is built from mpmath, scipy, and the math module directly,
 never from the package under test, so agreement between the two is
 meaningful.  The mpmath routines run at 50 significant digits unless noted.
+The one exception is :func:`gl_component`, the composite Gauss-Legendre
+path that the Filon rule replaced, kept to compare the new rule against
+the old one.
 
 A second, algorithmically different quadrature (adaptive Simpson) lives
 here as well; it is practical only for integrands with modest oscillation
@@ -14,6 +17,7 @@ for oscillatory moment integrals.
 import math
 
 import mpmath
+import numpy as np
 
 mpmath.mp.dps = 50
 
@@ -193,3 +197,69 @@ def mp_orthonormal_coeffs(k, degree, dps=60):
                     work[r] -= factor * prev[r]
             coeffs.append(work)
         return coeffs
+
+
+def mp_panel(k, c0, c1, center, half, phase0, a, kind, dps=60):
+    """One oscillatory panel integral in closed form, via the complex erf.
+
+    Returns ``half * integral_{-1}^{1} exp(-k**2 s**2 + c0 + c1 s) *
+    trig(phase0 + a x) dx`` with ``s = center + half * x``, trig being sin
+    for kind "sine" and cos otherwise, every input taken as the exact
+    binary double it is.  With ``alpha = k * half`` the exponent is
+    ``-alpha**2 x**2 + B x + C`` for complex B and C; completing the square
+    gives ``sqrt(pi) / (2 alpha) * exp(C + B**2 / (4 alpha**2))`` times a
+    difference of erf values at ``alpha * (+-1 - x0)``, ``x0 = B / (2
+    alpha**2)``.  The huge factors at large ``a`` cancel in extended
+    precision.
+    """
+    with mpmath.workdps(dps):
+        k, c0, c1, c, h, phi, a = (
+            mpmath.mpf(v) for v in (k, c0, c1, center, half, phase0, a)
+        )
+        alpha = k * h
+        b = -2 * k**2 * c * h + c1 * h + mpmath.mpc(0, 1) * a
+        const = -(k**2) * c**2 + c0 + c1 * c + mpmath.mpc(0, 1) * phi
+        x0 = b / (2 * alpha**2)
+        val = (
+            h
+            * mpmath.sqrt(mpmath.pi)
+            / (2 * alpha)
+            * mpmath.exp(const + b**2 / (4 * alpha**2))
+            * (mpmath.erf(alpha * (1 - x0)) - mpmath.erf(alpha * (-1 - x0)))
+        )
+        return float(val.imag if kind == "sine" else val.real)
+
+
+def gl_component(k, n, harmonic, kind, rel_tol=1e-12):
+    """Centered component integral by the replaced composite Gauss-Legendre rule.
+
+    Built on the package's panel kernel ``_kernels.gauss_panels`` and its
+    centering and phase anchors, with the old panel plan: at most 3
+    oscillation periods per 32-node panel (>= 10 nodes per period), and
+    the fine pass at 1.5x the panel count.  Its cost grows with the
+    harmonic, so keep harmonics modest.  ``kind`` is "sine" or "cosine".
+    """
+    from qmoments import _kernels
+    from qmoments import quadrature as qd
+
+    T = qd._truncation_width(qd.QuadratureSpec(rel_tol=rel_tol), k)
+    mu, _, c0, c1 = qd._center_residuals(k, n)
+    omega = qd._omega_s(k, harmonic)
+    periods = abs(omega) * T / math.pi
+    p = max(qd._smooth_panel_count(T, k), math.ceil(periods / 3.0))
+    centers, half = qd._panel_grid(T, math.ceil(1.5 * p))
+    phase0 = qd._phase_anchors(k, mu, harmonic, centers)
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    code = 1 if kind == "sine" else 2
+    partials = _kernels.gauss_panels(
+        centers, half, nodes, weights, k * k, c0, c1, phase0, omega, code
+    )
+    return float(np.sum(partials))
+
+
+def mp_spherical_jn(l, x):
+    """Spherical Bessel j_l(x) = sqrt(pi / (2x)) J_{l+1/2}(x) for x >= 0."""
+    if x == 0:
+        return 1.0 if l == 0 else 0.0
+    x = mpmath.mpf(x)
+    return float(mpmath.sqrt(mpmath.pi / (2 * x)) * mpmath.besselj(l + 0.5, x))

@@ -23,10 +23,6 @@ SINE3_MOD = (
     '{"a": 0.3, "b": 2, "kind": "sine"}, '
     '{"a": 0.2, "b": 5, "kind": "sine"}]}'
 )
-WEIER_K2_MOD = (
-    '{"k": 2.0, "lambda": 0.9, '
-    '"weierstrass": {"a": 0.5, "b": 3, "N": 10, "kind": "sine"}}'
-)
 
 
 def run_json(tmp_path, args, name="report.json"):
@@ -165,10 +161,15 @@ class TestExitCodes:
         assert main(["holder", "--a", "1.2", "--b", "3"]) == 2
 
     def test_budget_exceeded_is_a_failed_case(self, tmp_path, capsys):
-        # The k=2 Weierstrass truncation needs more nodes than the default
-        # budget allows; the sweep must report that, not crash.
+        # Every component costs the same 1216 nodes at the default
+        # rel_tol, so 60 000 modes (more than 55 188) need more nodes than
+        # the default budget of 2^26 allows; the sweep must report that,
+        # not crash.
+        modes = [{"a": 1.0, "b": b, "kind": "sine"} for b in range(1, 60_001)]
+        mod = tmp_path / "many_modes.json"
+        mod.write_text(json.dumps({"k": 1.0, "lambda": 1e-5, "modes": modes}))
         code, rep = run_json(
-            tmp_path, ["moments", "--modulator", WEIER_K2_MOD, "--n", "0..0"]
+            tmp_path, ["moments", "--modulator", str(mod), "--n", "0..0"]
         )
         assert code == 1
         case = rep["cases"][0]

@@ -238,14 +238,19 @@ def test_budget_refusal_is_eager_and_named():
     d = density(0.7, 0.8, [(0.6, 3, "sine"), (0.4, 7, "cosine")])
     with pytest.raises(BudgetExceededError, match="budget"):
         integrate_moment(d, 0, QuadratureSpec(node_budget=1000))
-    # a deep Weierstrass truncation wants ~3^30 phase cycles; the refusal
-    # must arrive from planning alone, naming the dominant component
-    deep = PerturbedDensity.of(weier_modulator(1.0, 0.5, 0.5, 3, 30))
+    # a deep Weierstrass truncation reaches harmonic 3^34 > 2^53, whose
+    # phase cannot be folded exactly; the refusal must arrive from
+    # planning alone, naming the harmonic
+    deep = PerturbedDensity.of(weier_modulator(1.0, 0.5, 0.5, 3, 34))
     with pytest.raises(BudgetExceededError, match="harmonic"):
         integrate_moment(deep, 0)
+    # below 2^53 the cost no longer grows with the harmonic, so a single
+    # 2^50 sine is computed, and must be seen to vanish
     huge = density(1.0, 0.5, [(1.0, 2**50, "sine")])
-    with pytest.raises(BudgetExceededError):
-        integrate_moment(huge, 0)
+    r = integrate_moment(huge, 0)
+    dev = abs(r.value_over_scale() - 1.0)
+    assert dev <= max(r.error_estimate, 1e-12)
+    assert dev <= 1e-10
 
 
 def test_quadrature_spec_validation():
@@ -269,6 +274,32 @@ def test_moment_order_validation():
         integrate_moment(lambda x: x, 0)
     with pytest.raises(ValueError):
         base_moment_closed_form(object(), 0)
+
+
+@pytest.mark.parametrize("n", [10, 20, 40])
+def test_error_estimate_covers_log_scale_granularity(n):
+    # The battery's mix modulator at k = 0.45: sigma = (n+1)^2/(4 k^2)
+    # reaches ~2075 at n = 40, and the (sign, ln) value then carries
+    # ~eps * sigma of representation error in value_over_scale(), well
+    # above the quadrature refinement figure alone.
+    d = density(0.45, -0.6, [(0.5, 1, "cosine"), (0.5, 3, "sine")])
+    factor = modulator_moment_factor(d.modulator)
+    r = integrate_moment(d, n)
+    sigma = base_moment_closed_form(d.weight, n).ln_abs
+    assert r.rel_quad_error >= 2.220446049250313e-16 * sigma
+    assert abs(r.value_over_scale() - factor) <= r.error_estimate
+
+
+def test_vanishing_error_estimate_scales_granularity_by_value():
+    # A vanishing integral's value is ~0, so its eps * sigma representation
+    # error is relative to that value, not to the scale; adding eps * sigma
+    # of the scale (~4.6e-13 at n = 40) would loosen the very comparison
+    # that tests the identity.
+    w = LogNormalWeight(0.45)
+    sigma = base_moment_closed_form(w, 40).ln_abs
+    r = vanishing_integral(w, 40, 1)
+    assert r.rel_quad_error < 0.1 * 2.220446049250313e-16 * sigma
+    assert abs(r.value_over_scale()) <= r.error_estimate
 
 
 def test_results_are_deterministic():
