@@ -9,7 +9,6 @@ forms, the q-difference equation for the weight, Hankel positivity of the
 shared moment sequence, and Holder exponents of the rough members.
 """
 
-from ._kernels import backend_name
 from .logscale import LogScaled
 from .measures import (
     LogNormalWeight,
@@ -73,7 +72,6 @@ __all__ = [
     "TrigMode",
     "WeierstrassSpec",
     "__version__",
-    "backend_name",
     "base_moment_closed_form",
     "cross_orthogonality_check",
     "divergence_witness",

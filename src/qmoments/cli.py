@@ -7,13 +7,12 @@ exists, and a boolean verdict.  JSON output is the full report; CSV is
 a flat projection of the case list, one row per case with the inputs
 packed into a JSON string column.
 
-Report schema, version 1::
+Report schema, version 2::
 
     {
       "header": {
-        "schema_version": 1,
+        "schema_version": 2,
         "package_version": "...",
-        "backend": "numba" | "numpy",
         "timestamp": "...ISO 8601 UTC...",
         "command": "<subcommand>",
         "config": {...echo of the effective options...},
@@ -50,7 +49,6 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from ._kernels import backend_name
 from .measures import (
     LogNormalWeight,
     Modulator,
@@ -80,7 +78,7 @@ from .quadrature import (
 )
 from .roughness import holder_estimate
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _DEFAULT_SEED = 20260817
 
@@ -616,7 +614,6 @@ def build_report(ns, cases: list) -> dict:
         "header": {
             "schema_version": SCHEMA_VERSION,
             "package_version": __version__,
-            "backend": backend_name(),
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "command": ns.command,
             "config": _config_echo(ns),

@@ -62,6 +62,18 @@ def _check_positive_finite(value: float, name: str) -> float:
     return value
 
 
+def _check_int(value, name: str, lo: int, hi: Union[int, None] = None) -> int:
+    """``value`` as an int in [lo, hi]; refuses bools and non-integers."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if value < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {value}")
+    if hi is not None and value > hi:
+        raise ValueError(f"{name} must be <= {hi}, got {value}")
+    return value
+
+
 def _as_positive_array(x, name: str = "x"):
     """Validate and convert x; returns (array, was_scalar)."""
     arr = np.asarray(x, dtype=np.float64)
@@ -108,16 +120,8 @@ class TrigMode:
         if not math.isfinite(float(self.amplitude)):
             raise ValueError(f"amplitude must be finite, got {self.amplitude!r}")
         object.__setattr__(self, "amplitude", float(self.amplitude))
-        h = self.harmonic
-        if isinstance(h, bool) or not isinstance(h, (int, np.integer)):
-            raise ValueError(f"harmonic must be an integer, got {h!r}")
-        h = int(h)
-        if h < 1:
-            raise ValueError(f"harmonic must be >= 1, got {h}")
-        if h > _MAX_EXACT_HARMONIC:
-            raise ValueError(
-                f"harmonic {h} exceeds 2**53 and cannot be folded exactly"
-            )
+        # phases of harmonics above 2**53 cannot be folded exactly
+        h = _check_int(self.harmonic, "harmonic", 1, _MAX_EXACT_HARMONIC)
         object.__setattr__(self, "harmonic", h)
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
@@ -154,20 +158,8 @@ class WeierstrassSpec:
         if not (0.0 < a < 1.0) or not math.isfinite(a):
             raise ValueError(f"a must lie strictly inside (0, 1), got {self.a!r}")
         object.__setattr__(self, "a", a)
-        b = self.b
-        if isinstance(b, bool) or not isinstance(b, (int, np.integer)):
-            raise ValueError(f"b must be an integer, got {b!r}")
-        b = int(b)
-        if b < 2:
-            raise ValueError(f"b must be >= 2, got {b}")
-        object.__setattr__(self, "b", b)
-        n = self.terms
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise ValueError(f"terms must be an integer, got {n!r}")
-        n = int(n)
-        if n < 1:
-            raise ValueError(f"terms must be >= 1, got {n}")
-        object.__setattr__(self, "terms", n)
+        object.__setattr__(self, "b", _check_int(self.b, "b", 2))
+        object.__setattr__(self, "terms", _check_int(self.terms, "terms", 1))
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
 

@@ -24,7 +24,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .logscale import LogScaled
-from .measures import LogNormalWeight, PerturbedDensity
+from .measures import LogNormalWeight, PerturbedDensity, _check_int
 from .quadrature import QuadratureSpec, base_moment_closed_form, integrate_moment
 
 __all__ = [
@@ -69,7 +69,7 @@ class MomentSequence:
     @classmethod
     def closed_form(cls, w: LogNormalWeight, count: int) -> "MomentSequence":
         """Exact base-weight moments, count of them starting at M_0."""
-        count = _validate_count(count)
+        count = _check_int(count, "count", 1)
         vals = tuple(base_moment_closed_form(w, n) for n in range(count))
         return cls(values=vals, error_estimates=(0.0,) * count, k=w.k)
 
@@ -81,7 +81,7 @@ class MomentSequence:
         spec: QuadratureSpec = QuadratureSpec(),
     ) -> "MomentSequence":
         """Moments of a weight or perturbed density by verified quadrature."""
-        count = _validate_count(count)
+        count = _check_int(count, "count", 1)
         vals, errs = [], []
         for n in range(count):
             r = integrate_moment(obj, n, spec)
@@ -108,15 +108,6 @@ class MomentSequence:
     @property
     def max_error(self) -> float:
         return max(self.error_estimates)
-
-
-def _validate_count(count) -> int:
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-        raise ValueError(f"count must be an integer, got {count!r}")
-    count = int(count)
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    return count
 
 
 @dataclass(frozen=True)
@@ -185,11 +176,7 @@ def hankel_check(seq: MomentSequence, dim: Union[int, None] = None) -> HankelRep
     available = len(seq) // 2
     if dim is None:
         dim = available
-    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
-        raise ValueError(f"dim must be an integer, got {dim!r}")
-    dim = int(dim)
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    dim = _check_int(dim, "dim", 1)
     if dim > available:
         raise ValueError(
             f"dim {dim} needs {2 * dim} moments, sequence has {len(seq)}"
@@ -233,11 +220,7 @@ class OrthogonalBasis:
 
     def evaluate_monic(self, i: int, x):
         """Value of the degree-i monic polynomial at x (scalar or array)."""
-        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
-            raise ValueError(f"polynomial index must be an integer, got {i!r}")
-        i = int(i)
-        if not (0 <= i <= self.degree):
-            raise ValueError(f"polynomial index out of range, got {i}")
+        i = _check_int(i, "polynomial index", 0, self.degree)
         y = np.asarray(x, dtype=float) * math.exp(-self.ln_rho)
         acc = np.zeros_like(y)
         for j in range(i, -1, -1):
@@ -256,6 +239,22 @@ def _scaled_log_moments(seq: MomentSequence, count: int, ln_m0, ln_rho):
     return out
 
 
+def _normalized_gram(lnm, half):
+    """G_rs = exp(lnm[r+s] - half[r] - half[s]), the Gram matrix of the
+    monomials z_r = y**r / sqrt(mhat_{2r}) under the scaled log moments."""
+    size = half.size
+    gram = np.empty((size, size))
+    for r in range(size):
+        for s in range(r, size):
+            gram[r, s] = gram[s, r] = math.exp(lnm[r + s] - half[r] - half[s])
+    return gram
+
+
+def _gram_residual(inv, gram) -> float:
+    """max |inv G inv^T - I|: how far the rows of inv are from orthonormal."""
+    return float(np.max(np.abs(inv @ gram @ inv.T - np.eye(gram.shape[0]))))
+
+
 def orthogonal_basis_from_moments(
     seq: MomentSequence, degree: int
 ) -> OrthogonalBasis:
@@ -266,13 +265,7 @@ def orthogonal_basis_from_moments(
     """
     if not isinstance(seq, MomentSequence):
         raise ValueError(f"expected a MomentSequence, got {seq!r}")
-    if isinstance(degree, bool) or not isinstance(degree, (int, np.integer)):
-        raise ValueError(f"degree must be an integer, got {degree!r}")
-    degree = int(degree)
-    if not (1 <= degree <= MAX_BASIS_DEGREE):
-        raise ValueError(
-            f"degree must be in [1, {MAX_BASIS_DEGREE}], got {degree}"
-        )
+    degree = _check_int(degree, "degree", 1, MAX_BASIS_DEGREE)
     need = 2 * degree + 1
     if len(seq) < need:
         raise ValueError(f"degree {degree} needs {need} moments, have {len(seq)}")
@@ -287,19 +280,16 @@ def orthogonal_basis_from_moments(
             "monic coefficients would overflow float64 at this degree; "
             "the weight is too broad (k too small)"
         )
-    size = degree + 1
-    gram = np.empty((size, size))
-    for r in range(size):
-        for s in range(r, size):
-            gram[r, s] = gram[s, r] = math.exp(lnm[r + s] - half[r] - half[s])
+    gram = _normalized_gram(lnm, half)
     try:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         raise ValueError(
             "normalized moment Gram matrix is not positive definite"
         ) from None
+    size = degree + 1
     inv = np.linalg.solve(chol, np.eye(size))
-    residual = float(np.max(np.abs(inv @ gram @ inv.T - np.eye(size))))
+    residual = _gram_residual(inv, gram)
     monic = np.zeros((size, size))
     for i in range(size):
         for j in range(i + 1):
@@ -334,11 +324,4 @@ def cross_orthogonality_check(basis: OrthogonalBasis, seq: MomentSequence) -> fl
     if len(seq) < need:
         raise ValueError(f"need {need} moments, have {len(seq)}")
     lnm = _scaled_log_moments(seq, need, basis.ln_m0, basis.ln_rho)
-    size = basis.degree + 1
-    half = basis.half_log_diag
-    gram = np.empty((size, size))
-    for r in range(size):
-        for s in range(r, size):
-            gram[r, s] = gram[s, r] = math.exp(lnm[r + s] - half[r] - half[s])
-    inv = basis.normalized
-    return float(np.max(np.abs(inv @ gram @ inv.T - np.eye(size))))
+    return _gram_residual(basis.normalized, _normalized_gram(lnm, basis.half_log_diag))

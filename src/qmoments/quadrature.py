@@ -67,6 +67,7 @@ from .measures import (
     LogNormalWeight,
     Modulator,
     PerturbedDensity,
+    _check_int,
     _lnq_dd,
 )
 
@@ -397,6 +398,8 @@ def _plan_components(k, T, modes, spec: QuadratureSpec) -> None:
 
 _EPS = 2.220446049250313e-16
 _INV_SQRT_PI = 0.5641895835477563
+# largest |n| accepted as a moment order
+_MAX_ORDER = 2**48
 
 
 def _moment_parts(obj: Union[LogNormalWeight, PerturbedDensity]):
@@ -420,15 +423,6 @@ def _series_tail(obj) -> float:
     return 0.0
 
 
-def _validate_order(n) -> int:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValueError(f"moment order must be an integer, got {n!r}")
-    n = int(n)
-    if abs(n) > 2**48:
-        raise ValueError(f"moment order out of range, got {n}")
-    return n
-
-
 def integrate_moment(
     obj: Union[LogNormalWeight, PerturbedDensity],
     n: int,
@@ -440,7 +434,7 @@ def integrate_moment(
     ``ln_scale`` equals the closed-form base moment's log, so
     ``value_over_scale()`` reads directly as the modulator factor.
     """
-    n = _validate_order(n)
+    n = _check_int(n, "moment order", -_MAX_ORDER, _MAX_ORDER)
     weight, lam, modes = _moment_parts(obj)
     k = weight.k
     if lam == 0.0:
@@ -502,10 +496,8 @@ def vanishing_integral(
     """
     if not isinstance(w, LogNormalWeight):
         raise ValueError(f"expected a LogNormalWeight, got {w!r}")
-    n = _validate_order(n)
-    if isinstance(j, bool) or not isinstance(j, (int, np.integer)) or int(j) < 1:
-        raise ValueError(f"sine harmonic j must be an integer >= 1, got {j!r}")
-    j = int(j)
+    n = _check_int(n, "moment order", -_MAX_ORDER, _MAX_ORDER)
+    j = _check_int(j, "sine harmonic j", 1)
     k = w.k
     T = _truncation_width(spec, k)
     _plan_components(k, T, [(1.0, j, "sine")], spec)
@@ -539,7 +531,7 @@ def base_moment_closed_form(w: LogNormalWeight, n: int) -> LogScaled:
     """``exp((n+1)**2 / (4 k**2))``, symbolically, for any integer n."""
     if not isinstance(w, LogNormalWeight):
         raise ValueError(f"expected a LogNormalWeight, got {w!r}")
-    n = _validate_order(n)
+    n = _check_int(n, "moment order", -_MAX_ORDER, _MAX_ORDER)
     sigma, _, _ = _sigma_dd(w.k, n)
     return LogScaled.exp(sigma)
 

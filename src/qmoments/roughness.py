@@ -29,7 +29,7 @@ from typing import Callable, Union
 import numpy as np
 
 from . import _kernels
-from .measures import Modulator, TrigMode, WeierstrassSpec
+from .measures import Modulator, WeierstrassSpec, _check_int
 
 __all__ = [
     "HolderEstimate",
@@ -158,29 +158,11 @@ def local_oscillation(obj, w, h: float, probes: int = 16):
     """Local oscillation of the profile of ``obj`` at scale h around w."""
     if not (isinstance(h, float) and 0.0 < h <= 0.5):
         raise ValueError(f"scale h must be a float in (0, 0.5], got {h!r}")
-    probes = _validate_probes(probes)
+    probes = _check_int(probes, "probes", 8)
     fn, _ = _make_profile(obj, h)
     base = np.atleast_1d(np.asarray(w, dtype=float))
     osc = _oscillation_grid(fn, base, h, probes)
     return float(osc[0]) if np.ndim(w) == 0 else osc
-
-
-def _validate_probes(probes) -> int:
-    if isinstance(probes, bool) or not isinstance(probes, (int, np.integer)):
-        raise ValueError(f"probes must be an integer >= 8, got {probes!r}")
-    probes = int(probes)
-    if probes < 8:
-        raise ValueError(f"probes must be >= 8, got {probes}")
-    return probes
-
-
-def _validate_samples(samples) -> int:
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
-        raise ValueError(f"samples must be an integer >= 8, got {samples!r}")
-    samples = int(samples)
-    if samples < 8:
-        raise ValueError(f"samples must be >= 8, got {samples}")
-    return samples
 
 
 def _validate_scales(scales) -> np.ndarray:
@@ -207,8 +189,8 @@ def holder_estimate(
     points are drawn uniformly from one period; the fit is ordinary
     least squares on the log-log medians.
     """
-    samples = _validate_samples(samples)
-    probes = _validate_probes(probes)
+    samples = _check_int(samples, "samples", 8)
+    probes = _check_int(probes, "probes", 8)
     scales = _validate_scales(scales if scales is not None else 2.0 ** -np.arange(4, 21))
     fn, terms = _make_profile(obj, float(scales[-1]))
     rng = np.random.default_rng(seed)
@@ -248,8 +230,8 @@ def divergence_witness(
     Unbounded growth of the quotients as the step shrinks is direct
     evidence against differentiability anywhere in the sampled set.
     """
-    samples = _validate_samples(samples)
-    probes = _validate_probes(probes)
+    samples = _check_int(samples, "samples", 8)
+    probes = _check_int(probes, "probes", 8)
     steps = _validate_scales(steps if steps is not None else 10.0 ** -np.arange(3, 10))
     fn, _ = _make_profile(obj, float(steps[-1]))
     rng = np.random.default_rng(seed)

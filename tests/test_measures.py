@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,13 @@ from qmoments.measures import (
     modulator_to_dict,
     positivity_bound,
 )
+from qmoments.moments import MomentSequence, hankel_check, orthogonal_basis_from_moments
+from qmoments.quadrature import (
+    base_moment_closed_form,
+    integrate_moment,
+    vanishing_integral,
+)
+from qmoments.roughness import holder_estimate
 
 EPS = 2.220446049250313e-16
 
@@ -403,3 +411,72 @@ class TestPerturbedDensity:
         d = PerturbedDensity.of(m)
         assert d.weight == m.weight
         assert d.positive
+
+
+
+W1 = LogNormalWeight(1.0)
+SEQ = MomentSequence.closed_form(W1, 5)
+SPEC = WeierstrassSpec(0.5, 3, 5, "sine")
+
+# every integer argument of the public API goes through one check: bools
+# and non-integers are refused, and a refusal names the bound it broke
+INTEGER_REFUSALS = {
+    "harmonic-bool": (
+        lambda: TrigMode(1.0, True, "sine"),
+        "harmonic must be an integer",
+    ),
+    "harmonic-low": (lambda: TrigMode(1.0, 0, "sine"), "harmonic must be >= 1, got 0"),
+    "harmonic-high": (
+        lambda: TrigMode(1.0, 2**53 + 1, "sine"),
+        f"harmonic must be <= {2**53}, got {2**53 + 1}",
+    ),
+    "terms-float": (
+        lambda: WeierstrassSpec(0.5, 3, 10.0, "sine"),
+        "terms must be an integer",
+    ),
+    "order-high": (
+        lambda: integrate_moment(W1, 2**48 + 1),
+        f"moment order must be <= {2**48}",
+    ),
+    "order-low": (
+        lambda: base_moment_closed_form(W1, -(2**48) - 1),
+        f"moment order must be >= {-(2**48)}",
+    ),
+    "j-low": (lambda: vanishing_integral(W1, 0, 0), "sine harmonic j must be >= 1"),
+    "count-low": (lambda: MomentSequence.closed_form(W1, 0), "count must be >= 1"),
+    "dim-bool": (lambda: hankel_check(SEQ, True), "dim must be an integer"),
+    "degree-high": (
+        lambda: orthogonal_basis_from_moments(SEQ, 7),
+        "degree must be <= 6",
+    ),
+    "index-high": (
+        lambda: orthogonal_basis_from_moments(SEQ, 2).evaluate_monic(3, 1.0),
+        "polynomial index must be <= 2, got 3",
+    ),
+    "probes-low": (
+        lambda: holder_estimate(SPEC, probes=7),
+        "probes must be >= 8, got 7",
+    ),
+    "samples-float": (
+        lambda: holder_estimate(SPEC, samples=64.0),
+        "samples must be an integer",
+    ),
+}
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize(
+        "call, message", INTEGER_REFUSALS.values(), ids=INTEGER_REFUSALS.keys()
+    )
+    def test_refusal_names_the_bound(self, call, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
+    def test_numpy_integers_and_inclusive_bounds_accepted(self):
+        mode = TrigMode(1.0, np.int64(2**53), "sine")
+        assert type(mode.harmonic) is int and mode.harmonic == 2**53
+        spec = WeierstrassSpec(0.5, np.int32(2), np.int64(1), "cosine")
+        assert type(spec.b) is int and type(spec.terms) is int
+        top = base_moment_closed_form(W1, 2**48)
+        assert top.ln_abs == pytest.approx((2**48 + 1) ** 2 / 4)
+        assert base_moment_closed_form(W1, -(2**48)).ln_abs > 0.0

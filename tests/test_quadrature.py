@@ -47,8 +47,16 @@ FROZEN_RATIOS = [
 ]
 
 
-@pytest.mark.parametrize("k", [0.35, 0.5, 1.0, 2.0])
-@pytest.mark.parametrize("n", [-3, 0, 1, 5, 10])
+# ln M_4 at k = 0.7, sigma = 25/1.96, frozen from the integrator
+FROZEN_BASE_LN = {(0.7, 4): 12.755102040816318}
+BASE_CASES = [
+    (k, n) for n in (-3, 0, 1, 5, 10) for k in (0.35, 0.5, 1.0, 2.0)
+] + list(FROZEN_BASE_LN)
+
+
+@pytest.mark.parametrize(
+    "k, n", BASE_CASES, ids=[f"{n}-{k}" for k, n in BASE_CASES]
+)
 def test_base_moment_matches_closed_form(k, n):
     w = LogNormalWeight(k)
     r = integrate_moment(w, n)
@@ -63,6 +71,8 @@ def test_base_moment_matches_closed_form(k, n):
     assert r.value.rel_deviation_from(closed) <= max(1e-12, 8e-16 * abs(sigma))
     assert r.series_tail_budget == 0.0
     assert r.nodes_used > 0
+    if (k, n) in FROZEN_BASE_LN:
+        assert abs(r.value.ln_abs - FROZEN_BASE_LN[k, n]) <= 1e-10
 
 
 def test_moment_sign_convention_positive_exponent():

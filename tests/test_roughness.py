@@ -123,20 +123,41 @@ def test_local_oscillation_values_and_shapes():
     assert arr[1] == pytest.approx(1.0, rel=1e-12)
 
 
+def brute_trig_profile(w, modes):
+    """Pure-python replica of the per-mode folding of a harmonic list."""
+    x = w - math.floor(w)
+    total = 0.0
+    for amp, harmonic, kind in modes:
+        f = harmonic * x
+        f -= math.floor(f)
+        theta = 2.0 * math.pi * f
+        total += amp * (math.sin(theta) if kind == "sine" else math.cos(theta))
+    return total
+
+
 def test_profile_wiring_matches_pure_python():
     # depth 30 exceeds the auto-raise target at this coarse scale, so both
     # paths evaluate exactly 30 terms
-    spec = WeierstrassSpec(0.6, 2, 30, "cosine")
+    lam = 0.8
+    modes = ((0.5, 1, "sine"), (-0.3, 4, "cosine"), (0.2, 9, "sine"))
+    modulator = Modulator(LogNormalWeight(1.0), lam, tuple(TrigMode(*m) for m in modes))
+    scaled = [(lam * a, b, kind) for a, b, kind in modes]
+    cases = [
+        (WeierstrassSpec(0.6, 2, 30, "cosine"),
+         lambda w: brute_profile(w, 0.6, 2, 30, "cosine")),
+        (WeierstrassSpec(0.6, 2, 30, "sine"),
+         lambda w: brute_profile(w, 0.6, 2, 30, "sine")),
+        (modulator, lambda w: brute_trig_profile(w, scaled)),
+    ]
     h = 2.0**-9
-    for w0 in (0.12, 0.5, 0.83):
-        offsets = h * np.arange(1, 9) / 8.0
-        deltas = np.concatenate([-offsets[::-1], offsets])
-        ref0 = brute_profile(w0, 0.6, 2, 30, "cosine")
-        ref = max(
-            abs(brute_profile(w0 + d, 0.6, 2, 30, "cosine") - ref0) for d in deltas
-        )
-        got = local_oscillation(spec, w0, h, probes=8)
-        assert got == pytest.approx(ref, rel=1e-12)
+    offsets = h * np.arange(1, 9) / 8.0
+    deltas = np.concatenate([-offsets[::-1], offsets])
+    for obj, ref_fn in cases:
+        for w0 in (0.12, 0.5, 0.83):
+            ref0 = ref_fn(w0)
+            ref = max(abs(ref_fn(w0 + d) - ref0) for d in deltas)
+            got = local_oscillation(obj, w0, h, probes=8)
+            assert got == pytest.approx(ref, rel=1e-12)
 
 
 def test_validation():
