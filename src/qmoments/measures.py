@@ -317,19 +317,35 @@ class PerturbedDensity:
         return eval_density(self, x)
 
 
+def _weight_values(w: LogNormalWeight, arr):
+    t = np.log(arr)
+    return (w.k * _INV_SQRT_PI) * np.exp(-(w.k * w.k) * t * t)
+
+
 def eval_weight(w: LogNormalWeight, x):
     """Evaluate the weight; x may be a float or an ndarray of positives."""
     arr, scalar = _as_positive_array(x)
-    t = np.log(arr)
-    out = (w.k * _INV_SQRT_PI) * np.exp(-(w.k * w.k) * t * t)
+    out = _weight_values(w, arr)
     return float(out[0]) if scalar else out
 
 
 def _lnq_dd(k: float):
-    """ln q = -1 / (2 k**2) as a double-double pair."""
-    kh, kl = _dd.two_prod(k, k)
-    dh, dl = _dd.dd_mul_d(kh, kl, 2.0)
-    return _dd.dd_div(-1.0, 0.0, dh, dl)
+    """ln q = -1 / (2 k**2) as a double-double pair.
+
+    Refuses, naming k, a k for which ln q is not a finite nonzero
+    double-double and every phase would be NaN: the splitting products
+    overflow for k below about 6e-151 or above about 8e149.
+    """
+    lh = ll = math.nan
+    if 0.0 < k * k < math.inf:
+        kh, kl = _dd.two_prod(k, k)
+        dh, dl = _dd.dd_mul_d(kh, kl, 2.0)
+        lh, ll = _dd.dd_div(-1.0, 0.0, dh, dl)
+    if not (math.isfinite(lh) and math.isfinite(ll) and lh != 0.0):
+        raise ValueError(
+            f"k={k!r}: ln q = -1/(2 k**2) is not finite and nonzero in float64"
+        )
+    return lh, ll
 
 
 def _phase_dd(m: Modulator, th, tl):
@@ -365,19 +381,24 @@ def _modulator_from_log_dd(m: Modulator, th, tl):
     return _modulator_from_phase(m, wh, wl)
 
 
+def _modulator_values(m: Modulator, arr):
+    th, tl = _dd.dd_log(arr)
+    return _modulator_from_log_dd(m, th, tl)
+
+
 def eval_modulator(m: Modulator, x):
     """Evaluate g(x) through the compensated-phase pathway."""
     arr, scalar = _as_positive_array(x)
-    th, tl = _dd.dd_log(arr)
-    out = _modulator_from_log_dd(m, th, tl)
+    out = _modulator_values(m, arr)
     return float(out[0]) if scalar else out
 
 
 def eval_density(d: PerturbedDensity, x):
     """Evaluate ``f(x) * (1 + lam * g(x))``."""
     arr, scalar = _as_positive_array(x)
-    f = eval_weight(d.weight, arr)
-    g = eval_modulator(d.modulator, arr)
+    # g first: at a k whose ln q is refused, the weight's k**2 may be inf.
+    g = _modulator_values(d.modulator, arr)
+    f = _weight_values(d.weight, arr)
     out = f * (1.0 + d.modulator.lam * g)
     return float(out[0]) if scalar else out
 

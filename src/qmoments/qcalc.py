@@ -80,10 +80,14 @@ def q_derivative(g: Callable, x, q: float):
 
 
 def _weight_terms_dd(k: float, th, tl):
-    """exp(-k**2 * t**2) from a dd log t, at ~eps relative accuracy."""
-    sh, sl = _dd.dd_sq(th, tl)
-    ah, al = _dd.dd_mul_d(sh, sl, -(k * k))
-    return _dd.dd_exp_to_double(ah, al)
+    """exp(-(k*t)**2) from a dd log t, at ~eps relative accuracy.
+
+    Scaling by k before squaring keeps (k*t)**2 finite where t**2 alone
+    would overflow, as t = ln(q*x) does for k below about 1e-77.
+    """
+    sh, sl = _dd.dd_mul_d(th, tl, k)
+    ah, al = _dd.dd_sq(sh, sl)
+    return _dd.dd_exp_to_double(-ah, -al)
 
 
 def q_pearson_residual(obj, x, q: float | None = None):

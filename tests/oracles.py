@@ -3,9 +3,10 @@
 Everything here is built from mpmath, scipy, and the math module directly,
 never from the package under test, so agreement between the two is
 meaningful.  The mpmath routines run at 50 significant digits unless noted.
-The one exception is :func:`gl_component`, the composite Gauss-Legendre
-path that the Filon rule replaced, kept to compare the new rule against
-the old one.
+The exceptions are the replaced paths, kept to compare each new method
+against the one it replaced: :func:`gl_component`, the composite
+Gauss-Legendre path that the Filon rule replaced, and
+:func:`dd_log_series`, the untabulated double-double logarithm.
 
 A second, algorithmically different quadrature (adaptive Simpson) lives
 here as well; it is practical only for integrands with modest oscillation
@@ -263,3 +264,41 @@ def mp_spherical_jn(l, x):
         return 1.0 if l == 0 else 0.0
     x = mpmath.mpf(x)
     return float(mpmath.sqrt(mpmath.pi / (2 * x)) * mpmath.besselj(l + 0.5, x))
+
+
+def dd_log_series(x):
+    """ln x as a double-double pair by the replaced untabulated series.
+
+    Recentres the mantissa m into [sqrt(1/2), sqrt(2)) and sums 24
+    double-double terms of ``ln m = 2 atanh((m - 1) / (m + 1))``, where
+    z**2 <= 0.0294 leaves a truncation error below 1e-36.  Built on the
+    package's double-double primitives, with its own coefficients.
+    """
+    from qmoments import _dd
+
+    coeff = []
+    for n in range(24):
+        d = float(2 * n + 1)
+        chi = 1.0 / d
+        p, e = _dd.two_prod(chi, d)
+        coeff.append((chi, -((p - 1.0) + e) / d))
+    x = np.asarray(x, dtype=np.float64)
+    m, e = np.frexp(x)
+    low = m < 0.7071067811865476
+    m = np.where(low, m + m, m)
+    e = (e - low).astype(np.float64)
+    num = m - 1.0
+    den_h, den_l = _dd.two_sum(m, 1.0)
+    zh, zl = _dd.dd_div(num, np.zeros_like(num), den_h, den_l)
+    z2h, z2l = _dd.dd_sq(zh, zl)
+    sh = np.full_like(m, coeff[-1][0])
+    sl = np.full_like(m, coeff[-1][1])
+    for ch, cl in coeff[-2::-1]:
+        sh, sl = _dd.dd_mul(sh, sl, z2h, z2l)
+        sh, sl = _dd.dd_add_d(sh, sl, ch)
+        sl = sl + cl
+    lh, ll = _dd.dd_mul(sh, sl, zh, zl)
+    lh, ll = _dd.dd_mul_d(lh, ll, 2.0)
+    th, tl = _dd.two_prod(e, _dd.LN2_HI)
+    tl = tl + e * _dd.LN2_LO
+    return _dd.dd_add(th, tl, lh, ll)

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from qmoments import _dd
 
+from oracles import dd_log_series
+
 
 mpmath.mp.dps = 50
 
@@ -94,6 +96,71 @@ class TestDDLog:
         for i, x in enumerate(xs):
             exact = mpmath.log(mpmath.mpf(float(x)))
             assert mp_err(h[i], l[i], exact) < 1e-28
+
+
+# The budget of the table-driven log over the whole positive float64 range.
+LOG_BUDGET = mpmath.mpf(1e-31)
+
+
+def assert_log_within_budget(xs):
+    h, l = _dd.dd_log(xs)
+    for i, x in enumerate(xs):
+        exact = mpmath.log(mpmath.mpf(float(x)))
+        err = mp_err(h[i], l[i], exact)
+        assert err < LOG_BUDGET * max(1.0, abs(float(exact))), float(x)
+
+
+class TestDDLogTable:
+    def test_table_cells_centre_and_edges(self):
+        # Every reachable table point c = i/128 and the cell edges c -+ 1/256,
+        # where |z| is largest; also shifted by powers of two so that the
+        # e*ln2 step is exercised with each cell.
+        c = np.arange(91, 182) / 128.0
+        xs = np.concatenate([c, c - 1 / 256, c + 1 / 256])
+        assert_log_within_budget(xs)
+        assert_log_within_budget(np.ldexp(xs, 700))
+        assert_log_within_budget(np.ldexp(xs, -1000))
+
+    def test_special_points(self):
+        s = _dd._SQRT_HALF
+        xs = np.array(
+            [
+                s,
+                np.nextafter(s, 0.0),
+                np.nextafter(s, 1.0),
+                np.nextafter(1.0, 0.0),
+                np.nextafter(1.0, 2.0),
+                5e-324,
+                2.2e-308,
+                1.79e308,
+                np.finfo(np.float64).max,
+            ]
+        )
+        assert_log_within_budget(xs)
+
+    def test_near_one_is_relatively_accurate(self):
+        for x in (np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 1.0 + 1e-9):
+            h, l = _dd.dd_log(x)
+            exact = mpmath.log(mpmath.mpf(float(x)))
+            assert mp_err(h, l, exact) < LOG_BUDGET * abs(exact)
+
+    def test_powers_of_two(self):
+        j = np.arange(-1074, 1024)
+        h, l = _dd.dd_log(np.ldexp(1.0, j))
+        for ji, hi, lo in zip(j, h, l):
+            exact = int(ji) * mpmath.log(2)
+            assert mp_err(hi, lo, exact) < LOG_BUDGET * max(1, abs(float(exact)))
+
+    @given(x=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    @settings(max_examples=400)
+    def test_full_range_vs_mpmath_and_replaced_series(self, x):
+        h, l = _dd.dd_log(x)
+        exact = mpmath.log(mpmath.mpf(x))
+        budget = LOG_BUDGET * max(1.0, abs(float(exact)))
+        assert mp_err(h, l, exact) < budget
+        sh, sl = dd_log_series(x)
+        old = mpmath.mpf(float(sh)) + mpmath.mpf(float(sl))
+        assert mp_err(h, l, old) < budget
 
 
 class TestFolding:

@@ -412,6 +412,29 @@ class TestPerturbedDensity:
         assert d.weight == m.weight
         assert d.positive
 
+    def test_density_validates_its_input_once(self, monkeypatch):
+        from qmoments import measures
+
+        calls = []
+        original = measures._as_positive_array
+
+        def counting(x, name="x"):
+            calls.append(name)
+            return original(x, name)
+
+        monkeypatch.setattr(measures, "_as_positive_array", counting)
+        d = PerturbedDensity.of(trig_modulator(1.0, 0.5, [(1.0, 1, "sine")]))
+        xs = np.array([0.5, 1.0, 2.0])
+        assert np.array_equal(
+            eval_density(d, xs),
+            eval_weight(d.weight, xs) * (1.0 + 0.5 * eval_modulator(d.modulator, xs)),
+        )
+        calls.clear()
+        eval_density(d, xs)
+        assert calls == ["x"]
+        with pytest.raises(ValueError, match="positive and finite"):
+            eval_density(d, np.array([1.0, 0.0]))
+
 
 
 W1 = LogNormalWeight(1.0)

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from qmoments.measures import (
     PerturbedDensity,
     TrigMode,
     WeierstrassSpec,
+    eval_density,
     eval_modulator,
     eval_weight,
 )
@@ -183,3 +186,41 @@ class TestQPearsonDensity:
     def test_rejects_other_objects(self):
         with pytest.raises(ValueError, match="expected"):
             q_pearson_residual(3.5, 1.0)
+
+
+class TestExtremeK:
+    # Every positive finite k is admitted; the pointwise evaluators either
+    # answer finitely or refuse by naming k, without a numpy warning.
+    XS = np.array([1e-3, 0.5, 1.0, 3.0, 1e3])
+
+    @staticmethod
+    def objects(k):
+        w = LogNormalWeight(k)
+        m = Modulator(w, 0.5, (TrigMode(1.0, 1, "sine"), TrigMode(0.5, 3, "cosine")))
+        return w, m, PerturbedDensity.of(m)
+
+    def test_tiny_k_residual_is_zero(self):
+        # At k = 1e-100, f(q*x) and sqrt(q) both underflow to 0, so the
+        # residual is exactly 0; forming k**2 * ln(q*x)**2 overflowed.
+        w, m, d = self.objects(1e-100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for obj in (w, d):
+                assert np.array_equal(q_pearson_residual(obj, self.XS), np.zeros(5))
+            assert np.all(np.isfinite(eval_modulator(m, self.XS)))
+            assert np.all(np.isfinite(eval_density(d, self.XS)))
+
+    @pytest.mark.parametrize("k", [1e-160, 1e160])
+    def test_unrepresentable_ln_q_is_refused_by_name(self, k):
+        w, m, d = self.objects(k)
+        calls = [
+            lambda: eval_modulator(m, self.XS),
+            lambda: eval_density(d, self.XS),
+            lambda: q_pearson_residual(w, self.XS),
+            lambda: q_pearson_residual(d, self.XS),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(ValueError, match=re.escape(f"k={k!r}")):
+                    call()
