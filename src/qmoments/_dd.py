@@ -234,9 +234,10 @@ def dd_exp_to_double(xh, xl):
 def fold_harmonic(wh, wl, b):
     """Map a phase w in [0,1) to frac(b * w) for an integer harmonic b.
 
-    b must be exactly representable in float64 (b <= 2**53).  The result
-    stays a double-double pair so repeated folding loses only O(eps**2)
-    per step relative to the incoming phase.
+    b, an integer or an array of them broadcast against w, must be exactly
+    representable in float64 (b <= 2**53).  The result stays a
+    double-double pair so repeated folding loses only O(eps**2) per step
+    relative to the incoming phase.
     """
-    ph, pl = dd_mul_d(wh, wl, float(b))
+    ph, pl = dd_mul_d(wh, wl, np.asarray(b, dtype=np.float64))
     return dd_frac(ph, pl)

@@ -81,6 +81,9 @@ from .roughness import holder_estimate
 SCHEMA_VERSION = 2
 
 _DEFAULT_SEED = 20260817
+# size bounds: ~200 MB of pointwise work, a 1000 x 1000 Hankel matrix
+_MAX_POINTS = 1_000_000
+_MAX_DIM = 1000
 
 
 class ConfigError(Exception):
@@ -186,8 +189,8 @@ def _spec(ns) -> QuadratureSpec:
 def _sample_points(ns) -> np.ndarray:
     if not (0.0 < ns.x_min < ns.x_max):
         raise ConfigError("need 0 < x-min < x-max")
-    if ns.points < 1:
-        raise ConfigError("need at least one sample point")
+    if not 1 <= ns.points <= _MAX_POINTS:
+        raise ConfigError(f"--points must be in [1, {_MAX_POINTS}]")
     rng = np.random.default_rng(ns.seed)
     lo, hi = math.log(ns.x_min), math.log(ns.x_max)
     return np.exp(rng.uniform(lo, hi, ns.points))
@@ -329,8 +332,8 @@ def _hankel_cases(tag, seq, dim) -> list:
 
 def run_hankel(ns) -> list:
     w, m, obj = _object_under_test(ns)
-    if ns.dim < 1:
-        raise ConfigError("dim must be >= 1")
+    if not 1 <= ns.dim <= _MAX_DIM:
+        raise ConfigError(f"--dim must be in [1, {_MAX_DIM}]")
     count = 2 * ns.dim
     tag = f"hankel/k={w.k}"
     try:

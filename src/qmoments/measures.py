@@ -318,8 +318,11 @@ class PerturbedDensity:
 
 
 def _weight_values(w: LogNormalWeight, arr):
-    t = np.log(arr)
-    return (w.k * _INV_SQRT_PI) * np.exp(-(w.k * w.k) * t * t)
+    # -(k*t)**2, not -k**2 * t**2: k*k overflows for k above ~1.3e154 and
+    # then gives inf * 0 = NaN at x = 1; (k*t)**2 overflowing is exp(-inf) = 0
+    kt = w.k * np.log(arr)
+    with np.errstate(over="ignore"):
+        return (w.k * _INV_SQRT_PI) * np.exp(-(kt * kt))
 
 
 def eval_weight(w: LogNormalWeight, x):

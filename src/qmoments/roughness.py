@@ -40,6 +40,9 @@ __all__ = [
 ]
 
 _MAX_TERMS = 10_000
+# every scale evaluates the profile on samples * 2 * probes points
+_MAX_SAMPLES = 4096
+_MAX_PROBES = 256
 _U_SIN = 1
 _U_COS = 0
 
@@ -158,7 +161,7 @@ def local_oscillation(obj, w, h: float, probes: int = 16):
     """Local oscillation of the profile of ``obj`` at scale h around w."""
     if not (isinstance(h, float) and 0.0 < h <= 0.5):
         raise ValueError(f"scale h must be a float in (0, 0.5], got {h!r}")
-    probes = _check_int(probes, "probes", 8)
+    probes = _check_int(probes, "probes", 8, _MAX_PROBES)
     fn, _ = _make_profile(obj, h)
     base = np.atleast_1d(np.asarray(w, dtype=float))
     osc = _oscillation_grid(fn, base, h, probes)
@@ -189,8 +192,8 @@ def holder_estimate(
     points are drawn uniformly from one period; the fit is ordinary
     least squares on the log-log medians.
     """
-    samples = _check_int(samples, "samples", 8)
-    probes = _check_int(probes, "probes", 8)
+    samples = _check_int(samples, "samples", 8, _MAX_SAMPLES)
+    probes = _check_int(probes, "probes", 8, _MAX_PROBES)
     scales = _validate_scales(scales if scales is not None else 2.0 ** -np.arange(4, 21))
     fn, terms = _make_profile(obj, float(scales[-1]))
     rng = np.random.default_rng(seed)
@@ -230,8 +233,8 @@ def divergence_witness(
     Unbounded growth of the quotients as the step shrinks is direct
     evidence against differentiability anywhere in the sampled set.
     """
-    samples = _check_int(samples, "samples", 8)
-    probes = _check_int(probes, "probes", 8)
+    samples = _check_int(samples, "samples", 8, _MAX_SAMPLES)
+    probes = _check_int(probes, "probes", 8, _MAX_PROBES)
     steps = _validate_scales(steps if steps is not None else 10.0 ** -np.arange(3, 10))
     fn, _ = _make_profile(obj, float(steps[-1]))
     rng = np.random.default_rng(seed)

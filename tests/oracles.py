@@ -249,7 +249,7 @@ def gl_component(k, n, harmonic, kind, rel_tol=1e-12):
     periods = abs(omega) * T / math.pi
     p = max(qd._smooth_panel_count(T, k), math.ceil(periods / 3.0))
     centers, half = qd._panel_grid(T, math.ceil(1.5 * p))
-    phase0 = qd._phase_anchors(k, mu, harmonic, centers)
+    phase0 = qd._phase_anchors(k, mu, [harmonic], centers)[:, 0]
     nodes, weights = np.polynomial.legendre.leggauss(32)
     code = 1 if kind == "sine" else 2
     partials = _kernels.gauss_panels(

@@ -1,8 +1,9 @@
 """End-to-end checks of the command line battery.
 
-Everything runs in process through ``main(argv)`` so the quadrature
-caches warm across cases; the exit-code contract and both output
-formats are exercised against real runs.
+Everything runs in process through ``main(argv)``, where one quadrature
+call evaluates both passes and all components of an integral; the
+exit-code contract and both output formats are exercised against real
+runs.
 """
 
 import csv
@@ -159,6 +160,16 @@ class TestExitCodes:
 
     def test_invalid_holder_profile(self, capsys):
         assert main(["holder", "--a", "1.2", "--b", "3"]) == 2
+
+    @pytest.mark.parametrize("args, bound", [
+        (["pearson", "--k", "1", "--points", "1000001"], "1000000"),
+        (["hankel", "--k", "1", "--dim", "1001"], "1000"),
+        (["holder", "--a", "0.5", "--b", "3", "--samples", "4097"], "4096"),
+        (["holder", "--a", "0.5", "--b", "3", "--probes", "257"], "256"),
+    ])
+    def test_size_above_its_bound_exits_two(self, args, bound, capsys):
+        assert main(args) == 2
+        assert bound in capsys.readouterr().err
 
     def test_budget_exceeded_is_a_failed_case(self, tmp_path, capsys):
         # Every component costs the same 1216 nodes at the default

@@ -210,7 +210,7 @@ class TestExtremeK:
             assert np.all(np.isfinite(eval_modulator(m, self.XS)))
             assert np.all(np.isfinite(eval_density(d, self.XS)))
 
-    @pytest.mark.parametrize("k", [1e-160, 1e160])
+    @pytest.mark.parametrize("k", [1e-160, 1e155, 1e160])
     def test_unrepresentable_ln_q_is_refused_by_name(self, k):
         w, m, d = self.objects(k)
         calls = [
@@ -224,3 +224,8 @@ class TestExtremeK:
             for call in calls:
                 with pytest.raises(ValueError, match=re.escape(f"k={k!r}")):
                     call()
+            # the weight needs no ln q: f(1) = k / sqrt(pi) even where k**2
+            # overflows, and f is finite everywhere
+            f = eval_weight(w, self.XS)
+        assert f[2] == pytest.approx(k / math.sqrt(math.pi), rel=1e-15)
+        assert np.all(np.isfinite(f)) and np.all(f >= 0.0)

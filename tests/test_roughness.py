@@ -167,6 +167,10 @@ def test_validation():
             holder_estimate(spec, probes=bad)
     with pytest.raises(ValueError):
         holder_estimate(spec, samples=4)
+    with pytest.raises(ValueError, match="samples must be <= 4096"):
+        holder_estimate(spec, samples=4097)
+    with pytest.raises(ValueError, match="probes must be <= 256"):
+        divergence_witness(spec, probes=257)
     for bad_scales in ([], [0.1, 0.2], [0.1, -0.2, 0.01], [0.6, 0.1, 0.01], [0.1, 0.1, 0.01]):
         with pytest.raises(ValueError):
             holder_estimate(spec, scales=bad_scales)
