@@ -1,4 +1,4 @@
-"""Vectorized double-double helpers for phase-critical evaluation.
+"""Double-double and fixed-point helpers for phase-critical evaluation.
 
 The q-periodicity and q-derivative identities checked by this package hold
 to within 1e-12 of the local scale, but a plain float64 pipeline loses
@@ -16,6 +16,12 @@ time the series stops at z**10, with only its first three terms in
 double-double.  The error budget is derived in its docstring: about
 1e-31 * max(1, |ln x|) over all positive finite doubles.
 
+A phase w = frac(u) leaves double-double once, as the 128-bit fraction
+(w1 * 2**64 + w0) / 2**128 in two uint64 words, kept at least 1-d since
+numpy's scalar uint64 products warn on wrap.  Folding by an integer
+harmonic is multiplication mod 2**128, which rounds nothing (Payne and
+Hanek, "Radian reduction for trigonometric functions", SIGNUM 1983).
+
 All functions broadcast over numpy arrays and also accept Python floats.
 References for the algorithms: Dekker (1971), Knuth TAOCP vol 2, Tang,
 "Table-driven implementation of the logarithm function in IEEE
@@ -24,8 +30,6 @@ recurrences of Hida, Li and Bailey (2001).
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -66,14 +70,6 @@ def two_prod(a, b):
 def dd_add(xh, xl, yh, yl):
     sh, se = two_sum(xh, yh)
     te = se + (xl + yl)
-    h = sh + te
-    l = te - (h - sh)
-    return h, l
-
-
-def dd_add_d(xh, xl, y):
-    sh, se = two_sum(xh, y)
-    te = se + xl
     h = sh + te
     l = te - (h - sh)
     return h, l
@@ -142,7 +138,7 @@ def _log_ratio(a, b, terms, float_terms=0):
     sh, sl = t * z2h, 0.0
     for n in reversed(range(terms)):
         ch, cl = _ATANH_COEFF[n]
-        sh, sl = dd_add_d(sh, sl, ch)
+        sh, sl = dd_add(sh, sl, ch, 0.0)
         sl = sl + cl
         if n:
             sh, sl = dd_mul(sh, sl, z2h, z2l)
@@ -197,29 +193,6 @@ def dd_log(x):
     return dd_add(th, tl, lh, ll)
 
 
-def dd_frac(xh, xl):
-    """Fractional part of a double-double value, reduced into [0, 1).
-
-    The returned pair can have ``hi == 1.0`` with a negative ``lo`` when
-    the value sits just below 1; the represented value is still inside
-    [0, 1).  Range tests therefore look at both words, not just ``hi``.
-    """
-    f = np.floor(xh)
-    # xh - f is NOT always exact (e.g. negative xh close to 0), so run it
-    # through an error-free transform and fold the residual into lo.
-    dh, de = two_sum(xh, -f)
-    rh, rl = dd_add_d(dh, de, xl)
-    under = (rh < 0.0) | ((rh == 0.0) & (rl < 0.0))
-    rh2, rl2 = dd_add_d(rh, rl, 1.0)
-    rh = np.where(under, rh2, rh)
-    rl = np.where(under, rl2, rl)
-    over = (rh > 1.0) | ((rh == 1.0) & (rl >= 0.0))
-    rh3, rl3 = dd_add_d(rh, rl, -1.0)
-    rh = np.where(over, rh3, rh)
-    rl = np.where(over, rl3, rl)
-    return rh, rl
-
-
 def dd_exp_to_double(xh, xl):
     """exp of a double-double argument, returned as a plain float64.
 
@@ -231,13 +204,55 @@ def dd_exp_to_double(xh, xl):
     return np.exp(xh) * (1.0 + xl)
 
 
-def fold_harmonic(wh, wl, b):
-    """Map a phase w in [0,1) to frac(b * w) for an integer harmonic b.
+_M32, _S32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 
-    b, an integer or an array of them broadcast against w, must be exactly
-    representable in float64 (b <= 2**53).  The result stays a
-    double-double pair so repeated folding loses only O(eps**2) per step
-    relative to the incoming phase.
+
+def _float_phase(x):
+    """frac(x) of a float64 x as a phase, truncated below 2**-128."""
+    x = np.atleast_1d(x)
+    f = np.abs(x - np.trunc(x)) * 2.0**64  # |frac(x)| * 2**64, exact
+    t = np.trunc(f)
+    w1, w0 = t.astype(np.uint64), ((f - t) * 2.0**64).astype(np.uint64)
+    neg = x < 0.0  # then w is 2**128 minus the magnitude: two's complement
+    return np.where(neg, ~w1 + (w0 == 0), w1), np.where(neg, -w0, w0)
+
+
+def phase_from_dd(xh, xl):
+    """frac(xh + xl) of a double-double value as a phase, within 2**-127.
+
+    Each word is reduced on its own and the two are added mod 2**128, so
+    any sign and any |xh| work: from |xh| >= 2**53 on, the whole fraction
+    is in ``xl``.
     """
-    ph, pl = dd_mul_d(wh, wl, np.asarray(b, dtype=np.float64))
-    return dd_frac(ph, pl)
+    (w1, w0), (v1, v0) = _float_phase(xh), _float_phase(xl)
+    lo = w0 + v0
+    return w1 + v1 + (lo < w0), lo
+
+
+def fold_harmonic(w, h):
+    """frac(h * w) = h * w mod 2**128 for an integer harmonic h, exactly.
+
+    ``h`` is a Python int of any size or a uint64 array broadcast against
+    the words.  The high word of the low words' product is built from
+    32-bit limbs; nothing rounds, so folding by b twice equals folding by b**2.
+    """
+    w1, w0 = w
+    h1 = 0
+    if not isinstance(h, np.ndarray):
+        h = int(h) % 2**128
+        h1, h = h >> 64, np.uint64(h & 0xFFFFFFFFFFFFFFFF)
+    a1, a0, c1, c0 = w0 >> _S32, w0 & _M32, h >> _S32, h & _M32
+    p00, p01, p10 = a0 * c0, a0 * c1, a1 * c0
+    carry = ((p00 >> _S32) + (p01 & _M32) + (p10 & _M32)) >> _S32
+    hi = a1 * c1 + (p01 >> _S32) + (p10 >> _S32) + carry + w1 * h
+    return (hi + w0 * np.uint64(h1) if h1 else hi), w0 * h
+
+
+def phase_angle(w):
+    """The float64 angle 2*pi*w, from w = fh + fl with fh w rounded to 53 bits."""
+    w1, w0 = w
+    top = (w1 >> np.uint64(11)) * 2.0**-53
+    rest = (w1 & np.uint64(0x7FF)) * 2.0**-64 + w0 * 2.0**-128
+    fh = top + rest
+    fl = rest - (fh - top)  # exact: |rest| < ulp(top) unless top is 0
+    return TWO_PI_HI * fh + (TWO_PI_HI * fl + TWO_PI_LO * fh)

@@ -112,9 +112,9 @@ class Case:
         }
 
 
-def _budget_case(case_id, inputs, tolerance, exc) -> Case:
+def _refused_case(case_id, inputs, tolerance, reason) -> Case:
     failed = dict(inputs)
-    failed["reason"] = str(exc)
+    failed["reason"] = str(reason)
     return Case(case_id, failed, None, None, tolerance, None, False)
 
 
@@ -207,7 +207,7 @@ def _vanish_cases(ks, orders, js, spec, tolerance) -> list:
                 try:
                     r = vanishing_integral(w, n, j, spec)
                 except BudgetExceededError as exc:
-                    cases.append(_budget_case(cid, inputs, tolerance, exc))
+                    cases.append(_refused_case(cid, inputs, tolerance, exc))
                     continue
                 v = r.value_over_scale()
                 cases.append(
@@ -233,7 +233,7 @@ def _moment_cases(tag, obj, m, orders, spec, tolerance, extra=None) -> list:
         try:
             r = integrate_moment(obj, n, spec)
         except BudgetExceededError as exc:
-            cases.append(_budget_case(cid, inputs, tolerance, exc))
+            cases.append(_refused_case(cid, inputs, tolerance, exc))
             continue
         v = r.value_over_scale()
         cases.append(
@@ -297,15 +297,19 @@ def _qderiv_case(tag, m, xs, tolerance) -> Case:
     # Forming q*x in float64 perturbs ln x by ~1.25 eps; no double
     # precision evaluation can beat the resulting phase noise, so that
     # floor is subtracted before the residual is judged.
+    inputs = {"k": m.weight.k, "points": int(xs.size),
+              "x_min": float(xs.min()), "x_max": float(xs.max())}
+    with np.errstate(over="ignore"):
+        floor = (1.25 * np.finfo(float).eps * m.log_slope_bound
+                 / ((1.0 - m.weight.q) * xs))
+    if not np.all(np.isfinite(floor)):  # vals - inf would clip to 0 and pass
+        return _refused_case(tag, inputs, tolerance, "phase-noise floor is "
+                             f"not finite: log_slope_bound {m.log_slope_bound}")
     vals = np.abs(q_derivative(m, xs, m.weight.q))
     g = eval_modulator(m, xs)
-    floor = (1.25 * np.finfo(float).eps * m.log_slope_bound
-             / ((1.0 - m.weight.q) * xs))
     norm = 1.0 + np.abs(g) / xs
     worst = float(np.max(np.maximum(vals - floor, 0.0) / norm))
-    inputs = {"k": m.weight.k, "points": int(xs.size),
-              "x_min": float(xs.min()), "x_max": float(xs.max()),
-              "raw_worst": float(np.max(vals / norm))}
+    inputs["raw_worst"] = float(np.max(vals / norm))
     return Case(tag, inputs, worst, 0.0, tolerance, None, worst <= tolerance)
 
 
@@ -342,7 +346,7 @@ def run_hankel(ns) -> list:
         else:
             seq = MomentSequence.from_quadrature(obj, count, _spec(ns))
     except BudgetExceededError as exc:
-        return [_budget_case(tag, {"dim": ns.dim}, 0.0, exc)]
+        return [_refused_case(tag, {"dim": ns.dim}, 0.0, exc)]
     return _hankel_cases(tag, seq, ns.dim)
 
 
@@ -364,7 +368,7 @@ def _gram_cases(tag, w, degree, spec, tolerance, cross_mods) -> list:
                 PerturbedDensity.of(m), count, spec
             )
         except BudgetExceededError as exc:
-            cases.append(_budget_case(cid, inputs, tolerance, exc))
+            cases.append(_refused_case(cid, inputs, tolerance, exc))
             continue
         gap = cross_orthogonality_check(basis, seq)
         cases.append(
@@ -472,7 +476,7 @@ def run_all(ns) -> list:
         )
         cases += _hankel_cases("hankel/quadrature/weier", seq, 6)
     except BudgetExceededError as exc:
-        cases.append(_budget_case("hankel/quadrature/weier", {"dim": 6},
+        cases.append(_refused_case("hankel/quadrature/weier", {"dim": 6},
                                   0.0, exc))
 
     # Orthogonality transfer through degree 6 at k = 1.

@@ -18,10 +18,11 @@ whose limits are continuous but nowhere differentiable when ``a * b >= 1``.
 Evaluation precision
 --------------------
 Pointwise identities downstream are checked to 1e-12 of local scale, so
-``eval_modulator`` computes the periodic phase through compensated
-(double-double) logarithms and exact harmonic folding; the residual error
-of the q-periodicity identity from this pathway is a few 1e-16 even for a
-30-term Weierstrass sum at k = 2.  A plain float64 log would lose up to
+``eval_modulator`` takes the base phase frac(ln x / ln q) from compensated
+(double-double) logarithms as a 128-bit fixed-point fraction, which every
+harmonic folds exactly, at any size; the residual error of the
+q-periodicity identity is a few 1e-16 even for a 30-term Weierstrass sum
+at k = 2.  A plain float64 log would lose up to
 ``2 * k**2 * |ln x| * eps`` of phase and could not meet that budget.
 """
 
@@ -50,7 +51,7 @@ __all__ = [
 ]
 
 _INV_SQRT_PI = 0.5641895835477563  # 1 / sqrt(pi)
-_MAX_EXACT_HARMONIC = 2**53
+_MAX_HARMONIC = 2**53
 
 _KINDS = ("sine", "cosine")
 
@@ -120,8 +121,8 @@ class TrigMode:
         if not math.isfinite(float(self.amplitude)):
             raise ValueError(f"amplitude must be finite, got {self.amplitude!r}")
         object.__setattr__(self, "amplitude", float(self.amplitude))
-        # phases of harmonics above 2**53 cannot be folded exactly
-        h = _check_int(self.harmonic, "harmonic", 1, _MAX_EXACT_HARMONIC)
+        # folding is exact at any h; quadrature._plan_components gives why 2**53
+        h = _check_int(self.harmonic, "harmonic", 1, _MAX_HARMONIC)
         object.__setattr__(self, "harmonic", h)
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
@@ -249,8 +250,8 @@ class Modulator:
 
         Useful as an evaluation noise model: a float64 perturbation
         ``delta`` of ln(x) moves g by at most ``log_slope_bound * delta``.
-        May overflow to inf for steep Weierstrass truncations; that is the
-        honest answer.
+        Overflows to inf, never raises, for steep Weierstrass truncations or
+        huge k; that is the honest answer.
         """
         c = self.content
         if isinstance(c, WeierstrassSpec):
@@ -258,10 +259,14 @@ class Modulator:
             if ab == 1.0:
                 s = float(c.terms)
             else:
-                s = ab * (ab**c.terms - 1.0) / (ab - 1.0)
+                try:
+                    s = ab * (ab**c.terms - 1.0) / (ab - 1.0)
+                except OverflowError:  # ab**terms passes the float range
+                    return math.inf
         else:
             s = float(sum(abs(m.amplitude) * m.harmonic for m in c))
-        return 2.0 * math.pi * s * (2.0 * self.weight.k**2)
+        # k * k, not k**2, overflows to inf instead of raising
+        return 2.0 * math.pi * s * (2.0 * self.weight.k * self.weight.k) if s else 0.0
 
     def terms(self) -> Iterator[tuple]:
         """Yield ``(amplitude, harmonic, kind)`` with exact int harmonics.
@@ -351,48 +356,28 @@ def _lnq_dd(k: float):
     return lh, ll
 
 
-def _phase_dd(m: Modulator, th, tl):
-    """Folded base phase w = frac(ln x / ln q) from a dd log input."""
-    lh, ll = _lnq_dd(m.weight.k)
-    uh, ul = _dd.dd_div(th, tl, lh, ll)
-    return _dd.dd_frac(uh, ul)
+def _base_phase(k: float, th, tl):
+    """The phase w = frac(t / ln q) of a dd log t = th + tl."""
+    lh, ll = _lnq_dd(k)
+    return _dd.phase_from_dd(*_dd.dd_div(th, tl, lh, ll))
 
 
-def _modulator_from_phase(m: Modulator, wh, wl):
-    acc = np.zeros_like(wh)
-    c = m.content
-    if isinstance(c, WeierstrassSpec):
-        amp = 1.0
-        fh, fl = wh, wl
-        for _ in range(c.terms):
-            amp *= c.a
-            fh, fl = _dd.fold_harmonic(fh, fl, c.b)
-            theta = _dd.TWO_PI_HI * fh + (_dd.TWO_PI_HI * fl + _dd.TWO_PI_LO * fh)
-            acc += amp * (np.sin(theta) if c.kind == "sine" else np.cos(theta))
-    else:
-        for mode in c:
-            fh, fl = _dd.fold_harmonic(wh, wl, mode.harmonic)
-            theta = _dd.TWO_PI_HI * fh + (_dd.TWO_PI_HI * fl + _dd.TWO_PI_LO * fh)
-            acc += mode.amplitude * (
-                np.sin(theta) if mode.kind == "sine" else np.cos(theta)
-            )
+def _modulator_from_phase(m: Modulator, w):
+    acc = np.zeros(w[0].shape)
+    for amp, harmonic, kind in m.terms():
+        theta = _dd.phase_angle(_dd.fold_harmonic(w, harmonic))
+        acc += amp * (np.sin(theta) if kind == "sine" else np.cos(theta))
     return acc
 
 
 def _modulator_from_log_dd(m: Modulator, th, tl):
-    wh, wl = _phase_dd(m, th, tl)
-    return _modulator_from_phase(m, wh, wl)
-
-
-def _modulator_values(m: Modulator, arr):
-    th, tl = _dd.dd_log(arr)
-    return _modulator_from_log_dd(m, th, tl)
+    return _modulator_from_phase(m, _base_phase(m.weight.k, th, tl))
 
 
 def eval_modulator(m: Modulator, x):
     """Evaluate g(x) through the compensated-phase pathway."""
     arr, scalar = _as_positive_array(x)
-    out = _modulator_values(m, arr)
+    out = _modulator_from_log_dd(m, *_dd.dd_log(arr))
     return float(out[0]) if scalar else out
 
 
@@ -400,7 +385,7 @@ def eval_density(d: PerturbedDensity, x):
     """Evaluate ``f(x) * (1 + lam * g(x))``."""
     arr, scalar = _as_positive_array(x)
     # g first: at a k whose ln q is refused, the weight's k**2 may be inf.
-    g = _modulator_values(d.modulator, arr)
+    g = _modulator_from_log_dd(d.modulator, *_dd.dd_log(arr))
     f = _weight_values(d.weight, arr)
     out = f * (1.0 + d.modulator.lam * g)
     return float(out[0]) if scalar else out

@@ -30,8 +30,9 @@ Design points
   error estimate comes from an independent second pass at 1.5x the panel
   count, never from the tolerance the caller asked for, plus a bound on
   the rounding of the Filon weights.
-* Oscillatory phases are anchored per panel at double-double accuracy by
-  folding ``harmonic * (mu + c) / ln q`` into [0, 1).  The integer-
+* Oscillatory phases are anchored per panel: the base phase
+  frac((mu + c) / ln q) comes from double-double arithmetic as a 128-bit
+  fixed-point fraction, which each harmonic folds exactly.  The integer-
   harmonic structure is *not* used to reduce phases symbolically: the
   sine integrals must be seen to vanish by honest numerical evaluation
   (cancellation across panels), not by an identity baked into the
@@ -49,8 +50,8 @@ Design points
   the *constructed, truncated* object and form ``error_estimate``; the
   series component measures distance to the untruncated limit object and
   is reported alongside, not mixed in.
-* Every integral is planned up front.  A harmonic above 2**53 (whose
-  phase cannot be folded exactly) or a plan above the node budget raises
+* Every integral is planned up front.  A harmonic above 2**53 (see
+  :func:`_plan_components`) or a plan above the node budget raises
   :class:`BudgetExceededError` rather than silently under-resolving.
 """
 
@@ -65,12 +66,13 @@ import numpy as np
 from . import _dd
 from .logscale import LogScaled
 from .measures import (
-    _MAX_EXACT_HARMONIC,
+    _MAX_HARMONIC,
     LogNormalWeight,
     Modulator,
     PerturbedDensity,
+    WeierstrassSpec,
+    _base_phase,
     _check_int,
-    _lnq_dd,
 )
 
 __all__ = [
@@ -115,7 +117,7 @@ _FILON_MATRIX = _filon_matrix()
 
 class BudgetExceededError(Exception):
     """Raised when an integral cannot be planned: it would exceed the node
-    budget, or a harmonic's phase cannot be folded exactly."""
+    budget, or a harmonic is too high to anchor and integrate."""
 
 
 @dataclass(frozen=True)
@@ -201,11 +203,6 @@ def _pass_counts(p_coarse: int) -> tuple:
     return p_coarse, math.ceil(1.5 * p_coarse)
 
 
-def _component_nodes(p_coarse: int) -> int:
-    a, b = _pass_counts(p_coarse)
-    return _NODES_PER_PANEL * (a + b)
-
-
 def _sigma_dd(k: float, n: int):
     """(n+1)**2 / (4 k**2) in dd; returns (sigma_double, sh, sl)."""
     np1 = float(n + 1)
@@ -254,18 +251,15 @@ def _panel_grid(T: float, p: int):
 
 
 def _phase_anchors(k: float, mu: float, harmonics, centers):
-    """2*pi * frac(harmonic * (mu + c) / ln q), dd-accurate.
+    """2*pi * frac(harmonic * (mu + c) / ln q), from exact phase folding.
 
     One row per panel center c, one column per harmonic.
-    :func:`_plan_components` refuses harmonics above 2**53, so they are
-    exact as doubles here; harmonic 0 anchors every panel at 0.
+    :func:`_plan_components` refuses harmonics above 2**53, so they fit a
+    uint64; harmonic 0 anchors every panel at 0.
     """
-    lh, ll = _lnq_dd(k)
-    th, tl = _dd.two_sum(mu, centers)
-    uh, ul = _dd.dd_div(th, tl, lh, ll)
-    fh, fl = _dd.dd_frac(uh, ul)
-    fh, fl = _dd.fold_harmonic(fh[:, None], fl[:, None], np.array(harmonics))
-    return _dd.TWO_PI_HI * fh + (_dd.TWO_PI_HI * fl + _dd.TWO_PI_LO * fh)
+    w1, w0 = _base_phase(k, *_dd.two_sum(mu, centers))
+    h = np.array(harmonics, dtype=np.uint64)
+    return _dd.phase_angle(_dd.fold_harmonic((w1[:, None], w0[:, None]), h))
 
 
 def _omega_s(k: float, harmonic: int) -> float:
@@ -362,21 +356,23 @@ def _panel_integrals(k, n, components, T):
 def _plan_components(k, T, modes, spec: QuadratureSpec) -> None:
     """Raise BudgetExceededError unless the base and every mode can be integrated.
 
-    A harmonic above 2**53 cannot be folded exactly by the phase anchors,
-    and a non-finite ``a = omega * half`` cannot be integrated at all.
+    Phases fold exactly at any harmonic, but above 2**53 ``_omega_s``
+    rounds it, and it amplifies the ~1e-32 |u| base-phase error past
+    1e-16 |u|; the anchors also carry harmonics as uint64, below 2**64.
+    A non-finite ``a = omega * half`` cannot be integrated at all.
     """
     p = _smooth_panel_count(T, k)
     half = T / p  # the coarse pass; the fine pass has smaller panels
     for _, harmonic, _ in modes:
-        if harmonic > _MAX_EXACT_HARMONIC or not math.isfinite(
+        if harmonic > _MAX_HARMONIC or not math.isfinite(
             _omega_s(k, harmonic) * half
         ):
             raise BudgetExceededError(
-                f"harmonic {harmonic} at k={k} cannot be integrated: phases "
-                "need harmonic <= 2**53 and a finite oscillation per panel"
+                f"harmonic {harmonic} at k={k} cannot be integrated: quadrature "
+                "needs harmonic <= 2**53 and a finite oscillation per panel"
             )
     components = 1 + len(modes)
-    per_component = _component_nodes(p)
+    per_component = _NODES_PER_PANEL * sum(_pass_counts(p))
     total = components * per_component
     if total > spec.node_budget:
         raise BudgetExceededError(
@@ -406,8 +402,6 @@ def _moment_parts(obj: Union[LogNormalWeight, PerturbedDensity]):
 def _series_tail(obj) -> float:
     if isinstance(obj, PerturbedDensity):
         c = obj.modulator.content
-        from .measures import WeierstrassSpec
-
         if isinstance(c, WeierstrassSpec):
             return abs(obj.modulator.lam) * c.tail_bound
     return 0.0
@@ -535,12 +529,14 @@ def modulator_moment_factor(m: Modulator) -> float:
     """
     if not isinstance(m, Modulator):
         raise ValueError(f"expected a Modulator, got {m!r}")
-    k = m.weight.k
+    pk = math.pi * m.weight.k
     total = 1.0
     for amp, harmonic, kind in m.terms():
         if kind != "cosine":
             continue
-        arg = 4.0 * (math.pi * k) ** 2 * float(harmonic) ** 2
+        # float products overflow to inf, where ** raises, and the term drops
+        x = pk * (float(harmonic) if harmonic < 2**1023 else math.inf)
+        arg = 4.0 * (x * x)
         if arg < 745.0:
             total += m.lam * amp * math.exp(-arg)
     return total

@@ -19,7 +19,7 @@ initial rounding of w by a factor b per term, so the deepest phases are
 pseudo-random rather than exact.  Oscillation statistics are insensitive
 to that (signal and rounding error amplify at the same rate, and only the
 distribution of phases matters to a scan); the verified identity checks
-elsewhere use the double-double path instead.
+elsewhere use the exact fixed-point phase path of ``_dd`` instead.
 """
 
 import math

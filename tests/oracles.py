@@ -5,8 +5,10 @@ never from the package under test, so agreement between the two is
 meaningful.  The mpmath routines run at 50 significant digits unless noted.
 The exceptions are the replaced paths, kept to compare each new method
 against the one it replaced: :func:`gl_component`, the composite
-Gauss-Legendre path that the Filon rule replaced, and
-:func:`dd_log_series`, the untabulated double-double logarithm.
+Gauss-Legendre path that the Filon rule replaced,
+:func:`dd_log_series`, the untabulated double-double logarithm, and
+:func:`dd_frac` with :func:`dd_fold_harmonic`, the double-double phase
+folding that 128-bit fixed-point phases replaced.
 
 A second, algorithmically different quadrature (adaptive Simpson) lives
 here as well; it is practical only for integrands with modest oscillation
@@ -295,10 +297,54 @@ def dd_log_series(x):
     sl = np.full_like(m, coeff[-1][1])
     for ch, cl in coeff[-2::-1]:
         sh, sl = _dd.dd_mul(sh, sl, z2h, z2l)
-        sh, sl = _dd.dd_add_d(sh, sl, ch)
+        sh, sl = _dd.dd_add(sh, sl, ch, 0.0)
         sl = sl + cl
     lh, ll = _dd.dd_mul(sh, sl, zh, zl)
     lh, ll = _dd.dd_mul_d(lh, ll, 2.0)
     th, tl = _dd.two_prod(e, _dd.LN2_HI)
     tl = tl + e * _dd.LN2_LO
     return _dd.dd_add(th, tl, lh, ll)
+
+
+def dd_frac(xh, xl):
+    """Fractional part of a double-double value by the replaced path.
+
+    Reduced into [0, 1) as a value: the returned pair can have
+    ``hi == 1.0`` with a negative ``lo`` just below 1.  Built on the
+    package's double-double primitives.
+    """
+    from qmoments import _dd
+
+    f = np.floor(xh)
+    # xh - f is not always exact (negative xh close to 0), so the residual
+    # of an error-free sum is folded into lo
+    dh, de = _dd.two_sum(xh, -f)
+    rh, rl = _dd.dd_add(dh, de, xl, 0.0)
+    under = (rh < 0.0) | ((rh == 0.0) & (rl < 0.0))
+    rh2, rl2 = _dd.dd_add(rh, rl, 1.0, 0.0)
+    rh = np.where(under, rh2, rh)
+    rl = np.where(under, rl2, rl)
+    over = (rh > 1.0) | ((rh == 1.0) & (rl >= 0.0))
+    rh3, rl3 = _dd.dd_add(rh, rl, -1.0, 0.0)
+    rh = np.where(over, rh3, rh)
+    rl = np.where(over, rl3, rl)
+    return rh, rl
+
+
+def dd_fold_harmonic(wh, wl, b):
+    """frac(b * w) of a double-double phase by the replaced path.
+
+    b is rounded to float64, so it is exact only up to 2**53; each fold
+    loses O(eps**2) relative to the incoming phase.
+    """
+    from qmoments import _dd
+
+    ph, pl = _dd.dd_mul_d(wh, wl, np.asarray(b, dtype=np.float64))
+    return dd_frac(ph, pl)
+
+
+def dd_angle(wh, wl):
+    """2*pi*w from a double-double phase, as the replaced path formed it."""
+    from qmoments import _dd
+
+    return _dd.TWO_PI_HI * wh + (_dd.TWO_PI_HI * wl + _dd.TWO_PI_LO * wh)

@@ -188,6 +188,31 @@ class TestExitCodes:
         assert case["value"] is None
         assert "budget" in case["inputs"]["reason"]
 
+    def test_overflowing_noise_floor_is_a_named_failed_case(self, tmp_path, capsys):
+        # log_slope_bound overflows for (a b)**N = 900**200; the floor it
+        # sets is inf, and vals - inf would clip to 0 and pass
+        mod = ('{"k": 1, "lambda": 0.01, "weierstrass": '
+               '{"a": 0.9, "b": 1000, "N": 200, "kind": "sine"}}')
+        code, rep = run_json(tmp_path, ["qderiv", "--modulator", mod])
+        assert code == 1
+        (case,) = rep["cases"]
+        assert case["pass"] is False and case["value"] is None
+        assert "phase-noise floor is not finite" in case["inputs"]["reason"]
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_overflowing_moment_factor_is_a_named_failed_case(self, tmp_path, capsys):
+        # (pi k)**2 overflows at k = 1e200; the planner then refuses the
+        # harmonic, whose oscillation per panel is not finite
+        mod = ('{"k": 1e200, "lambda": 0.1, '
+               '"modes": [{"a": 1, "b": 1, "kind": "cosine"}]}')
+        code, rep = run_json(tmp_path, ["ratio", "--modulator", mod, "--n", "0..2"])
+        assert code == 1
+        assert len(rep["cases"]) == 3
+        for case in rep["cases"]:
+            assert case["pass"] is False and case["value"] is None
+            assert "harmonic 1 at k=1e+200 cannot be integrated" in case["inputs"]["reason"]
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestDeterminism:
     def canon(self, rep):

@@ -1,4 +1,6 @@
 import math
+import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -7,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from qmoments import _dd
 
-from oracles import dd_log_series
+from oracles import dd_angle, dd_fold_harmonic, dd_frac, dd_log_series
 
 
 mpmath.mp.dps = 50
@@ -163,41 +165,81 @@ class TestDDLogTable:
         assert mp_err(h, l, old) < budget
 
 
+def words(w, i=0):
+    """The integer W = w1 * 2**64 + w0 of entry i of a phase."""
+    return int(w[0].flat[i]) << 64 | int(w[1].flat[i])
+
+
+def phase_of(value):
+    """The 128-bit phase of an exact value in [0, 1), as a pair of arrays."""
+    n = int(value * 2**128)
+    return (np.array([n >> 64], dtype=np.uint64),
+            np.array([n & (2**64 - 1)], dtype=np.uint64))
+
+
+def circle_err(got, exact):
+    """Distance on the unit circle between a phase's words and an exact value."""
+    d = abs(Fraction(got, 2**128) - exact)
+    return min(d, 1 - d)
+
+
+def angle_err(theta, w_exact):
+    """|theta - 2 pi w| in mpmath, with w an exact Fraction."""
+    with mpmath.workdps(60):
+        ref = 2 * mpmath.pi * mpmath.mpf(w_exact.numerator) / w_exact.denominator
+        return abs(mpmath.mpf(float(theta)) - ref)
+
+
+# The angle is one float64 near [0, 2 pi]: half an ulp of its final
+# rounding plus the roundings inside, within one ulp of 2 pi.
+ANGLE_TOL = 2.0**-50
+
+
 class TestFolding:
+    """The old dd_frac cases, as inputs of the fixed-point phase."""
+
     def test_frac_basic(self):
-        h, l = _dd.dd_frac(np.float64(2.75), np.float64(0.0))
-        assert h == 0.75 and l == 0.0
+        w = _dd.phase_from_dd(np.float64(2.75), np.float64(0.0))
+        assert (int(w[0][0]), int(w[1][0])) == (3 << 62, 0)
+        assert dd_frac(np.float64(2.75), np.float64(0.0)) == (0.75, 0.0)
 
     def test_frac_negative(self):
-        h, l = _dd.dd_frac(np.float64(-0.25), np.float64(0.0))
-        assert h == 0.75
+        w = _dd.phase_from_dd(np.float64(-0.25), np.float64(0.0))
+        assert words(w) == 3 << 126
+        assert dd_frac(np.float64(-0.25), np.float64(0.0))[0] == 0.75
 
     def test_frac_just_below_integer(self):
-        # 3 - 1e-20 held as (3.0, -1e-20): frac must be ~1 - 1e-20, not
-        # negative.  Range is a property of the represented value, so the
-        # hi word alone may equal 1.0 here.
-        h, l = _dd.dd_frac(np.float64(3.0), np.float64(-1e-20))
-        total = mpmath.mpf(float(h)) + mpmath.mpf(float(l))
-        assert 0 <= total < 1
-        assert abs(total - (1 - mpmath.mpf("1e-20"))) < mpmath.mpf("1e-35")
+        # 3 - 1e-20 held as (3.0, -1e-20): the phase is the 128-bit
+        # fraction of 1 - 1e-20, below 1 in both words.
+        w = _dd.phase_from_dd(np.float64(3.0), np.float64(-1e-20))
+        exact = 1 + Fraction(-1e-20)
+        assert words(w) < 2**128
+        assert abs(Fraction(words(w), 2**128) - exact) <= Fraction(1, 2**127)
+        h, l = dd_frac(np.float64(3.0), np.float64(-1e-20))
+        assert abs(Fraction(float(h)) + Fraction(float(l)) - exact) < 1e-35
 
     def test_frac_just_above_zero_stays_tiny(self):
-        h, l = _dd.dd_frac(np.float64(5.0), np.float64(1e-21))
-        total = mpmath.mpf(float(h)) + mpmath.mpf(float(l))
-        assert abs(total - mpmath.mpf("1e-21")) < mpmath.mpf("1e-37")
+        w = _dd.phase_from_dd(np.float64(5.0), np.float64(1e-21))
+        assert abs(Fraction(words(w), 2**128) - Fraction(1e-21)) <= Fraction(1, 2**127)
+        assert angle_err(_dd.phase_angle(w)[0], Fraction(1e-21)) < 1e-36
 
     def test_fold_harmonic_chain_matches_mpmath(self):
-        # frac(b**n * u) after n folds, checked at 40 digits.
-        u = mpmath.mpf(2) / 7
-        wh, wl = _dd.dd_frac(np.float64(2.0 / 7.0), np.float64(-(2.0 / 7.0 - float(u))))
-        wh, wl = np.float64(wh), np.float64(wl)
-        # Rebuild the exact start from the float pair actually used.
-        u_exact = mpmath.mpf(float(wh)) + mpmath.mpf(float(wl))
-        b = 3
+        # frac(3**n * u) after n folds, from the phase of the dd value
+        # nearest 2/7; checked at 60 digits and against the replaced path.
+        uh = 2.0 / 7.0
+        ul = float(mpmath.mpf(2) / 7 - mpmath.mpf(uh))
+        w = _dd.phase_from_dd(np.float64(uh), np.float64(ul))
+        w0 = Fraction(words(w), 2**128)
+        assert abs(w0 - (Fraction(uh) + Fraction(ul))) <= Fraction(1, 2**127)
+        oh, ol = dd_frac(np.float64(uh), np.float64(ul))
         for n in range(1, 21):
-            wh, wl = _dd.fold_harmonic(wh, wl, b)
-            exact = (u_exact * mpmath.mpf(b) ** n) % 1
-            assert mp_err(wh, wl, exact) < mpmath.mpf(10) ** (-25)
+            w = _dd.fold_harmonic(w, 3)
+            assert words(w) == words(phase_of(w0)) * 3**n % 2**128
+            theta = _dd.phase_angle(w)[0]
+            assert angle_err(theta, w0 * 3**n % 1) < ANGLE_TOL
+            oh, ol = dd_fold_harmonic(oh, ol, 3)
+            old = float(dd_angle(oh, ol))
+            assert abs(theta - old) < 1e-15
 
     def test_exp_to_double_large_argument(self):
         # exp(500 + tiny) should keep ~1e-16 relative accuracy.
@@ -205,3 +247,115 @@ class TestFolding:
         got = _dd.dd_exp_to_double(np.float64(500.0), np.float64(1.3e-14))
         rel = abs(mpmath.mpf(float(got)) / mpmath.exp(arg) - 1)
         assert rel < mpmath.mpf(5e-16)
+
+
+HARMONICS = [1, 3**10, 2**32 - 1, 2**32 + 1, 2**53]
+# w next to 0 and next to 1, at both word boundaries, and two generic words
+EDGE_WORDS = [1, 2**64 - 1, 2**64, 2**128 - 2**64, 2**128 - 1,
+              0x243F6A8885A308D313198A2E03707344, 0xA4093822299F31D0082EFA98EC4E6C89]
+
+
+def dd_pair(x):
+    """(hi, lo) of an exact Fraction: hi its nearest double, lo the next."""
+    hi = float(x)
+    return hi, float(x - Fraction(hi))
+
+
+class TestFixedPointPhase:
+    @pytest.mark.parametrize("h", HARMONICS)
+    def test_fold_is_exact_and_its_angle_matches_mpmath(self, h):
+        n = len(EDGE_WORDS)
+        w = (np.array([v >> 64 for v in EDGE_WORDS], dtype=np.uint64),
+             np.array([v & (2**64 - 1) for v in EDGE_WORDS], dtype=np.uint64))
+        by_int = _dd.fold_harmonic(w, h)
+        # the uint64 array harmonic of the quadrature anchors, broadcast
+        wc = (w[0][:, None], w[1][:, None])
+        by_array = _dd.fold_harmonic(wc, np.array([h, 1], dtype=np.uint64))
+        theta = _dd.phase_angle(by_int)
+        for i, v in enumerate(EDGE_WORDS):
+            want = v * h % 2**128
+            assert words(by_int, i) == want
+            assert words((by_array[0][:, 0], by_array[1][:, 0]), i) == want
+            assert words((by_array[0][:, 1], by_array[1][:, 1]), i) == v
+            assert angle_err(theta[i], Fraction(want, 2**128)) < ANGLE_TOL
+        assert theta.shape == (n,)
+
+    def test_angle_next_to_zero_and_one(self):
+        theta = _dd.phase_angle(phase_of(Fraction(1, 2**128)))[0]
+        assert angle_err(theta, Fraction(1, 2**128)) < 1e-52
+        top = Fraction(2**128 - 1, 2**128)
+        theta = _dd.phase_angle(phase_of(top))[0]
+        assert angle_err(theta, top) < ANGLE_TOL
+        assert math.sin(theta) < 0.0
+
+    @pytest.mark.parametrize("x", [
+        (2.75, 0.0), (-0.25, 0.0), (3.0, -1e-20), (5.0, 1e-21), (-5.0, 1e-21),
+        (-1e-30, -2.5e-47), (0.1, -5e-18), (-0.1, 5e-18),
+        # |uh| >= 2**53: the whole fraction is in the lo word
+        (2.0**53, 0.375), (2.0**60 + 2.0**8, -0.3), (-(2.0**70), 123.456),
+        (1e300, -0.7),
+    ])
+    @pytest.mark.parametrize("h", HARMONICS)
+    def test_dd_input_to_angle_matches_mpmath(self, x, h):
+        xh, xl = x
+        exact = (Fraction(xh) + Fraction(xl)) % 1
+        w = _dd.phase_from_dd(np.float64(xh), np.float64(xl))
+        assert circle_err(words(w), exact) <= Fraction(1, 2**127)
+        folded = _dd.fold_harmonic(w, h)
+        assert words(folded) == words(w) * h % 2**128
+        # the conversion's 2**-127 grows by h before the angle sees it
+        err = angle_err(_dd.phase_angle(folded)[0], h * exact % 1)
+        d = min(err, abs(err - 2 * mpmath.pi))
+        assert d < ANGLE_TOL + 2 * math.pi * h * 2.0**-127
+
+    @given(
+        xh=st.floats(min_value=-1e25, max_value=1e25, allow_nan=False),
+        r=st.floats(min_value=-0.5, max_value=0.5),
+    )
+    @settings(max_examples=300)
+    def test_conversion_matches_exact_fraction(self, xh, r):
+        # lo within half an ulp of hi, as a normalised dd pair has it
+        xl = r * math.ulp(xh)
+        exact = (Fraction(xh) + Fraction(xl)) % 1
+        w = _dd.phase_from_dd(np.array([xh]), np.array([xl]))
+        assert circle_err(words(w), exact) <= Fraction(1, 2**127)
+
+    def test_scalar_inputs_raise_no_warning(self):
+        # numpy scalar uint64 products warn when they wrap; array products
+        # do not, so phases stay at least 1-d whatever the input.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for xh, xl in [(np.float64(-0.25), np.float64(0.0)), (0.3, 1e-17),
+                           (np.array(0.7), np.array(-2e-17))]:
+                w = _dd.phase_from_dd(xh, xl)
+                assert w[0].shape == (1,)
+                for h in (2**53, 2**60 + 1, 3**80):
+                    folded = _dd.fold_harmonic(w, h)
+                    assert words(folded) == words(w) * h % 2**128
+                    assert np.isfinite(_dd.phase_angle(folded)).all()
+
+    @pytest.mark.parametrize("b", [2, 3, 7, 1000, 2**60 + 1])
+    def test_iterated_and_direct_folding_agree_bit_for_bit(self, b):
+        x = np.linspace(-3.0, 3.0, 41)
+        w = _dd.phase_from_dd(x, x * 1e-17)
+        iterated = w
+        for j in range(1, 35):
+            iterated = _dd.fold_harmonic(iterated, b)
+            direct = _dd.fold_harmonic(w, b**j)
+            assert np.array_equal(iterated[0], direct[0])
+            assert np.array_equal(iterated[1], direct[1])
+
+    @given(
+        u=st.floats(min_value=-50.0, max_value=50.0),
+        h=st.sampled_from([1, 2, 3, 7, 3**5, 3**10]),
+    )
+    @settings(max_examples=200)
+    def test_matches_replaced_dd_path(self, u, h):
+        uh, ul = dd_pair(Fraction(u) / 3)
+        w = _dd.phase_from_dd(np.array([uh]), np.array([ul]))
+        theta = _dd.phase_angle(_dd.fold_harmonic(w, h))[0]
+        oh, ol = dd_fold_harmonic(*dd_frac(np.array([uh]), np.array([ul])), h)
+        old = float(dd_angle(oh, ol)[0])
+        # the replaced fold rounds h * w at ~1e-32 relative
+        d = abs(theta - old)
+        assert min(d, 2 * math.pi - d) < 2e-15

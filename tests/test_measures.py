@@ -266,6 +266,26 @@ class TestEvalModulator:
         )
         assert got == pytest.approx(want, abs=5e-15 * max(1.0, abs(a)))
 
+    @pytest.mark.parametrize("kind", ["sine", "cosine"])
+    def test_huge_weierstrass_b_matches_mpmath(self, kind):
+        # WeierstrassSpec puts no upper bound on b.  Folding b = 2**60 + 1
+        # exactly leaves only the ~1e-32 |u| base-phase error, grown by b
+        # to ~1e-14; a fold that rounds b to a double is off by O(1)
+        # (-0.2600 for 0.1908 at x = 1.3 in the sine case).
+        desc = {"k": 1.0, "lambda": 0.1,
+                "weierstrass": {"a": 0.5, "b": 2**60 + 1, "N": 1, "kind": kind}}
+        m = modulator_from_dict(desc)
+        d = PerturbedDensity.of(m)
+        xs = np.array([1.3, 0.02, 0.77, 5.0, 240.0])
+        g, p = eval_modulator(m, xs), eval_density(d, xs)
+        for i, x in enumerate(xs):
+            assert g[i] == pytest.approx(float(oracles.mp_modulator(desc, x)), abs=1e-12)
+            want = float(oracles.mp_density(desc, x))
+            assert p[i] == pytest.approx(want, rel=1e-12, abs=1e-300)
+        assert eval_modulator(m, 1.3) == pytest.approx(
+            float(oracles.mp_modulator(desc, 1.3)), abs=1e-12
+        )
+
     def test_vectorized_matches_scalar(self):
         m = weier_modulator(1.2, 0.5, 0.7, 2, 12, "cosine")
         xs = np.array([1e-3, 0.2, 1.0, 3.7, 1e3])
@@ -485,6 +505,23 @@ INTEGER_REFUSALS = {
         "samples must be an integer",
     ),
 }
+
+
+class TestLogSlopeBound:
+    def test_overflow_is_inf_not_an_exception(self):
+        # (a b)**N = 900**200 passes the float range
+        assert weier_modulator(1.0, 0.01, 0.9, 1000, 200).log_slope_bound == math.inf
+        # k * k overflows for k above ~1.3e154
+        m = trig_modulator(1e200, 0.1, [(1.0, 1, "cosine")])
+        assert m.log_slope_bound == math.inf
+
+    def test_finite_cases_keep_their_value(self):
+        m = weier_modulator(1.0, 0.5, 0.5, 3, 10)
+        s = 1.5 * (1.5**10 - 1.0) / 0.5
+        assert m.log_slope_bound == 2.0 * math.pi * s * 2.0
+        assert trig_modulator(1e200, 0.1, []).log_slope_bound == 0.0
+        ab1 = weier_modulator(2.0, 0.5, 0.5, 2, 7)
+        assert ab1.log_slope_bound == 2.0 * math.pi * 7.0 * 8.0
 
 
 class TestIntegerArguments:

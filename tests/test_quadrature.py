@@ -248,8 +248,8 @@ def test_budget_refusal_is_eager_and_named():
     d = density(0.7, 0.8, [(0.6, 3, "sine"), (0.4, 7, "cosine")])
     with pytest.raises(BudgetExceededError, match="budget"):
         integrate_moment(d, 0, QuadratureSpec(node_budget=1000))
-    # a deep Weierstrass truncation reaches harmonic 3^34 > 2^53, whose
-    # phase cannot be folded exactly; the refusal must arrive from
+    # a deep Weierstrass truncation reaches harmonic 3^34 > 2^53, above
+    # the quadrature's harmonic bound; the refusal must arrive from
     # planning alone, naming the harmonic
     deep = PerturbedDensity.of(weier_modulator(1.0, 0.5, 0.5, 3, 34))
     with pytest.raises(BudgetExceededError, match="harmonic"):
@@ -344,3 +344,18 @@ def test_zero_coupling_equals_weight():
     assert rw.value.ln_abs == rd.value.ln_abs
     assert rw.nodes_used == rd.nodes_used
     assert rd.series_tail_budget == 0.0
+
+
+def test_moment_factor_drops_terms_past_the_float_range():
+    # (pi k)**2 overflows at k = 1e200 and float(b**N) at b**N = 1000**200;
+    # both arguments become inf and their terms vanish instead of raising
+    assert modulator_moment_factor(trig_modulator(1e200, 0.1, [(1.0, 1, "cosine")])) == 1.0
+    deep = weier_modulator(1.0, 0.1, 0.9, 1000, 200, "cosine")
+    assert modulator_moment_factor(deep) == 1.0
+    # pi k b = pi * 1e-10 is small although b**2 alone would overflow and
+    # (pi k)**2 alone underflow: the term stays, 0.1 * 0.5 * exp(-4e-19)
+    tiny_k = weier_modulator(1e-170, 0.1, 0.5, 10**160, 1, "cosine")
+    assert modulator_moment_factor(tiny_k) == pytest.approx(1.05, rel=1e-15)
+    # at representable arguments the closed form is unchanged
+    m = trig_modulator(0.5, 0.1, [(1.0, 1, "cosine")])
+    assert modulator_moment_factor(m) == 1.0 + 0.1 * math.exp(-4.0 * (math.pi * 0.5) ** 2)
