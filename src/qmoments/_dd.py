@@ -232,20 +232,25 @@ def phase_from_dd(xh, xl):
 def fold_harmonic(w, h):
     """frac(h * w) = h * w mod 2**128 for an integer harmonic h, exactly.
 
-    ``h`` is a Python int of any size or a uint64 array broadcast against
-    the words.  The high word of the low words' product is built from
-    32-bit limbs; nothing rounds, so folding by b twice equals folding by b**2.
+    ``h`` is a Python int of any size, a uint64 array of harmonics below
+    2**64, or a pair ``(h1, h0)`` of uint64 arrays holding the two words of
+    h mod 2**128; arrays broadcast against the words.  The high word of the
+    low words' product is built from 32-bit limbs; nothing rounds, so
+    folding by b twice equals folding by b**2.
     """
     w1, w0 = w
-    h1 = 0
-    if not isinstance(h, np.ndarray):
+    h1 = None
+    if isinstance(h, tuple):
+        h1, h = h
+    elif not isinstance(h, np.ndarray):
         h = int(h) % 2**128
-        h1, h = h >> 64, np.uint64(h & 0xFFFFFFFFFFFFFFFF)
+        h1 = np.uint64(h >> 64) if h >> 64 else None
+        h = np.uint64(h & 0xFFFFFFFFFFFFFFFF)
     a1, a0, c1, c0 = w0 >> _S32, w0 & _M32, h >> _S32, h & _M32
     p00, p01, p10 = a0 * c0, a0 * c1, a1 * c0
     carry = ((p00 >> _S32) + (p01 & _M32) + (p10 & _M32)) >> _S32
     hi = a1 * c1 + (p01 >> _S32) + (p10 >> _S32) + carry + w1 * h
-    return (hi + w0 * np.uint64(h1) if h1 else hi), w0 * h
+    return (hi if h1 is None else hi + w0 * h1), w0 * h
 
 
 def phase_angle(w):

@@ -1,10 +1,13 @@
-"""Hot numerical kernels, as chunked numpy vector code.
+"""Kernels the package no longer runs, kept for their outside callers.
 
-The Holder-exponent scans spend essentially all of their time in
-pointwise Weierstrass partial sums over probe grids.  The composite
-Gauss-Legendre panel sum is no longer on the quadrature path (that uses
-Filon weights, see :mod:`qmoments.quadrature`); it stays as the reference
-rule the tests compare against.
+``gauss_panels``, the composite Gauss-Legendre panel sum, left the
+quadrature path when Filon weights replaced it (see
+:mod:`qmoments.quadrature`); it stays as the reference rule the tests
+compare against.  ``weier_sum_u``, a float64 Weierstrass sum, left the
+roughness scans when they moved onto exact phases (see
+:mod:`qmoments.roughness`); it stays only for the benchmark's
+``kernel_throughput`` probe.  Both go once that probe measures the
+package's own paths.
 
 The panel kernel sums panel partials in a fixed order, so repeated runs
 are bit-identical.
@@ -24,14 +27,9 @@ Kernel contracts
     terms and keeps ~eps relative accuracy at any moment order.  Panels
     are processed in chunks of ``_CHUNK`` to bound memory.
 
-``trig_sum_u(u, amps, harmonics, kinds)``
-    sum_m amps[m] * trig_m(2*pi * harmonics[m] * u), evaluated in plain
-    float64 with per-term folding of the periodic variable.
-
 ``weier_sum_u(u, a, b, n_terms, kind)``
     sum_{n=1..N} a**n * trig(2*pi * frac(b**n * u)) via iterated folding,
-    never forming b**n; adequate for oscillation scans where phases past
-    the 2**53 horizon act as deterministic pseudo-phases.
+    never forming b**n; phases past the 2**53 horizon are pseudo-phases.
 """
 
 from __future__ import annotations
@@ -53,17 +51,6 @@ def gauss_panels(centers, half, nodes, weights, ksq, c0, c1, phase0, omega, kind
             val *= np.cos(phase0[start : start + _CHUNK, None] + omega * half * nodes)
         out[start : start + _CHUNK] = val @ weights
     out *= half
-    return out
-
-
-def trig_sum_u(u, amps, harmonics, kinds):
-    out = np.zeros(u.shape[0])
-    w = u - np.floor(u)
-    for m in range(amps.shape[0]):
-        f = harmonics[m] * w
-        f -= np.floor(f)
-        theta = 6.283185307179586 * f
-        out += amps[m] * (np.sin(theta) if kinds[m] == 1 else np.cos(theta))
     return out
 
 

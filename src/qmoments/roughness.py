@@ -14,21 +14,33 @@ truncation flattens to slope 1 below scales ~ b**-N, so the truncation
 depth is raised automatically until that happens far below the smallest
 requested scale.
 
-Phase arithmetic here is plain float64.  Iterated folding amplifies the
-initial rounding of w by a factor b per term, so the deepest phases are
-pseudo-random rather than exact.  Oscillation statistics are insensitive
-to that (signal and rounding error amplify at the same rate, and only the
-distribution of phases matters to a scan); the verified identity checks
-elsewhere use the exact fixed-point phase path of ``_dd`` instead.
+A series profile (a ``WeierstrassSpec``, or a ``Modulator`` of either
+content, scaled by lam) is W(w) = sum_t A_t sin(theta_t(w)) with
+theta_t(w) = 2 pi frac(h_t w), a cosine term being a sine shifted by a
+quarter turn.  Its phases are exact: each base point w and each offset d
+is a 128-bit fixed-point phase (``_dd``), folded by h_t mod 2**128 with
+nothing rounded, so every term sees the real point w + d, however deep.
+By angle addition, with delta = theta_t(d),
+
+    W(w + d) - W(w) = E + O,   E = sum_t A_t sin(theta_t(w)) (cos delta - 1),
+                               O = sum_t A_t cos(theta_t(w)) sin delta,
+
+and W(w - d) - W(w) = E - O, so the larger of the two is |E| + |O|.  The
+scan of S base points by P offset pairs per scale therefore separates
+into two matrix products, (S x terms) @ (terms x offsets): per term only
+S + P phases are folded, not 2 S P.  Blocks under fixed element budgets
+bound the memory whatever the samples, probes and depth.  An arbitrary
+callable is evaluated on the full grid of points w + d.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from itertools import accumulate
+from typing import Union
 
 import numpy as np
 
-from . import _kernels
+from . import _dd
 from .measures import Modulator, WeierstrassSpec, _check_int
 
 __all__ = [
@@ -40,11 +52,14 @@ __all__ = [
 ]
 
 _MAX_TERMS = 10_000
-# every scale evaluates the profile on samples * 2 * probes points
+# every scale probes samples * 2 * probes points
 _MAX_SAMPLES = 4096
 _MAX_PROBES = 256
-_U_SIN = 1
-_U_COS = 0
+# element budgets of one block: terms x folded phases, and bases x offsets;
+# together they keep each matrix product under ~370k multiply-adds, which
+# BLAS runs on one thread (a second one would add CPU time, not speed)
+_TERM_BLOCK = 2**12
+_GRID_BLOCK = 2**15
 
 
 @dataclass(frozen=True)
@@ -100,61 +115,100 @@ def _depth_for_scale(a: float, b: int, h_min: float) -> int:
     return min(max(n, 1), _MAX_TERMS)
 
 
-def _spec_profile(spec: WeierstrassSpec, scale: float, h_min: float):
-    code = _U_SIN if spec.kind == "sine" else _U_COS
-    n = max(spec.terms, _depth_for_scale(spec.a, spec.b, h_min))
-    a, b = spec.a, float(spec.b)
+def _series_terms(obj, h_min: float):
+    """Amplitudes, harmonic words and quarter-turn shifts of a series profile.
 
-    def fn(w):
-        return scale * _kernels.weier_sum_u(w, a, b, n, code)
+    Returns ``(amps, (h1, h0), shifts, terms_used)``; Weierstrass harmonics
+    are reduced mod 2**128 as they are built, which is all a fold needs,
+    so no depth ever forms b**N.  ``terms_used`` is None for trig modes.
+    """
+    scale, c = (obj.lam, obj.content) if isinstance(obj, Modulator) else (1.0, obj)
+    if isinstance(c, WeierstrassSpec):
+        depth = max(c.terms, _depth_for_scale(c.a, c.b, h_min))
+        amps = scale * np.cumprod(np.full(depth, c.a))
+        harmonics = accumulate([c.b % 2**128] * depth, lambda h, b: h * b % 2**128)
+        kinds = [c.kind] * depth
+    else:
+        depth = None
+        amps = scale * np.array([m.amplitude for m in c], dtype=float)
+        harmonics, kinds = [m.harmonic for m in c], [m.kind for m in c]
+    harmonics = list(harmonics)
+    h1 = np.array([h >> 64 for h in harmonics], dtype=np.uint64)
+    h0 = np.array([h & 0xFFFFFFFFFFFFFFFF for h in harmonics], dtype=np.uint64)
+    shifts = np.array([0 if k == "sine" else 2**62 for k in kinds], dtype=np.uint64)
+    return amps, (h1, h0), shifts, depth
 
-    return fn, n
+
+def _series_block(amps, harmonics, shifts, wb, wd):
+    """|E| + |O| (module docstring) for base words wb by offset words wd."""
+    rows, cols = wb[0].size, wd[0].size
+    words = tuple(np.concatenate([b, d])[:, None] for b, d in zip(wb, wd))
+    step = max(1, _TERM_BLOCK // (rows + cols))
+    even, odd = np.zeros((rows, cols)), np.zeros((rows, cols))
+    for t in range(0, amps.size, step):
+        block = slice(t, t + step)
+        f1, f0 = _dd.fold_harmonic(words, (harmonics[0][block], harmonics[1][block]))
+        f1[:rows] += shifts[block]
+        angle = _dd.phase_angle((f1, f0))
+        theta, delta = angle[:rows], angle[rows:]
+        half = np.sin(0.5 * delta)
+        even += np.sin(theta) @ (amps[block] * (-2.0 * half * half)).T
+        odd += np.cos(theta) @ (amps[block] * np.sin(delta)).T
+    np.abs(even, out=even)
+    even += np.abs(odd, out=odd)
+    return even
 
 
-def _trig_profile(content, scale: float):
-    amps = np.array([scale * m.amplitude for m in content], dtype=float)
-    harmonics = np.array([float(m.harmonic) for m in content], dtype=float)
-    kinds = np.array(
-        [_U_SIN if m.kind == "sine" else _U_COS for m in content], dtype=np.int64
-    )
+def _series_scan(amps, harmonics, shifts, base, scales, probes):
+    """max_|d|<=h |W(w+d) - W(w)| per scale and base point, on exact phases.
 
-    def fn(w):
-        return _kernels.trig_sum_u(w, amps, harmonics, kinds)
+    Base points are cut into row blocks and scales into groups so that one
+    block of the grid holds at most ``_GRID_BLOCK`` bases x offsets.
+    """
+    fracs = np.arange(1, probes + 1) / probes
+    per = max(1, min(scales.size, _GRID_BLOCK // (probes * base.size)))
+    rows = max(1, min(base.size, _GRID_BLOCK // (per * probes)))
+    w1, w0 = _dd._float_phase(base)
+    osc = np.empty((scales.size, base.size))
+    for s in range(0, scales.size, per):
+        group = scales[s : s + per]
+        wd = _dd._float_phase((group[:, None] * fracs).ravel())
+        for r in range(0, base.size, rows):
+            wb = (w1[r : r + rows], w0[r : r + rows])
+            spread = _series_block(amps, harmonics, shifts, wb, wd)
+            osc[s : s + per, r : r + rows] = spread.reshape(
+                -1, group.size, probes
+            ).max(axis=2).T
+    return osc
 
-    return fn
+
+def _grid_scan(fn, base, scales, probes):
+    """The same oscillations for a callable, evaluated on every grid point."""
+    osc = np.empty((scales.size, base.size))
+    for i, h in enumerate(scales):
+        steps = h * (np.arange(1, probes + 1) / probes)
+        grid = base + np.concatenate([[0.0], -steps, steps])[:, None]
+        vals = np.asarray(fn(grid.ravel()), dtype=float)
+        if vals.shape != (grid.size,):
+            raise ValueError("profile callable must map arrays to arrays")
+        vals = vals.reshape(grid.shape)
+        osc[i] = np.max(np.abs(vals[1:] - vals[0]), axis=0)
+    return osc
 
 
-def _make_profile(obj, h_min: float):
-    """Return (profile callable on w arrays, terms_used or None)."""
-    if isinstance(obj, WeierstrassSpec):
-        return _spec_profile(obj, 1.0, h_min)
-    if isinstance(obj, Modulator):
-        if obj.lam == 0.0:
-            raise ValueError("a zero modulator has no roughness to measure")
-        if isinstance(obj.content, WeierstrassSpec):
-            return _spec_profile(obj.content, obj.lam, h_min)
-        return _trig_profile(obj.content, obj.lam), None
+def _oscillations(obj, base, scales, probes):
+    """Oscillations of the profile of ``obj``, scales x bases, and the
+    series depth used (None unless the profile is a Weierstrass series)."""
+    if isinstance(obj, Modulator) and obj.lam == 0.0:
+        raise ValueError("a zero modulator has no roughness to measure")
+    if isinstance(obj, (WeierstrassSpec, Modulator)):
+        amps, harmonics, shifts, depth = _series_terms(obj, float(scales.min()))
+        return _series_scan(amps, harmonics, shifts, base, scales, probes), depth
     if callable(obj):
-
-        def fn(w):
-            out = np.asarray(obj(w), dtype=float)
-            if out.shape != w.shape:
-                raise ValueError("profile callable must map arrays to arrays")
-            return out
-
-        return fn, None
+        return _grid_scan(obj, base, scales, probes), None
     raise ValueError(
         f"expected a WeierstrassSpec, Modulator, or callable, got {obj!r}"
     )
-
-
-def _oscillation_grid(fn, base, h, probes):
-    """max_|d|<=h |W(w+d) - W(w)| for each base point, probed on a grid."""
-    steps = h * (np.arange(1, probes + 1) / probes)
-    offsets = np.concatenate([-steps[::-1], steps])
-    grid = base[None, :] + offsets[:, None]
-    vals = fn(grid.ravel()).reshape(grid.shape)
-    return np.max(np.abs(vals - fn(base)[None, :]), axis=0)
 
 
 def local_oscillation(obj, w, h: float, probes: int = 16):
@@ -162,10 +216,22 @@ def local_oscillation(obj, w, h: float, probes: int = 16):
     if not (isinstance(h, float) and 0.0 < h <= 0.5):
         raise ValueError(f"scale h must be a float in (0, 0.5], got {h!r}")
     probes = _check_int(probes, "probes", 8, _MAX_PROBES)
-    fn, _ = _make_profile(obj, h)
     base = np.atleast_1d(np.asarray(w, dtype=float))
-    osc = _oscillation_grid(fn, base, h, probes)
+    if not np.all(np.isfinite(base)):
+        raise ValueError(f"w must be finite, got {w!r}")
+    osc = _oscillations(obj, base, np.array([h]), probes)[0][0]
     return float(osc[0]) if np.ndim(w) == 0 else osc
+
+
+def _medians(osc):
+    """Row medians, as np.median forms them.
+
+    np.median and np.unique import numpy.ma on first use, ~15 ms that
+    would be most of a battery's Holder family.
+    """
+    s = np.sort(osc, axis=1)
+    n = s.shape[1]
+    return 0.5 * (s[:, (n - 1) // 2] + s[:, n // 2])
 
 
 def _validate_scales(scales) -> np.ndarray:
@@ -174,9 +240,10 @@ def _validate_scales(scales) -> np.ndarray:
         raise ValueError("need at least 3 scales for a slope fit")
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr > 0.5):
         raise ValueError("scales must be finite, positive, and at most 0.5")
-    if np.unique(arr).size != arr.size:
+    arr = np.sort(arr)[::-1]
+    if np.any(arr[1:] == arr[:-1]):  # not np.unique: see _medians
         raise ValueError("scales must be distinct")
-    return np.sort(arr)[::-1]
+    return arr
 
 
 def holder_estimate(
@@ -195,12 +262,9 @@ def holder_estimate(
     samples = _check_int(samples, "samples", 8, _MAX_SAMPLES)
     probes = _check_int(probes, "probes", 8, _MAX_PROBES)
     scales = _validate_scales(scales if scales is not None else 2.0 ** -np.arange(4, 21))
-    fn, terms = _make_profile(obj, float(scales[-1]))
-    rng = np.random.default_rng(seed)
-    base = rng.uniform(0.0, 1.0, samples)
-    meds = np.empty(scales.size)
-    for i, h in enumerate(scales):
-        meds[i] = np.median(_oscillation_grid(fn, base, float(h), probes))
+    base = np.random.default_rng(seed).uniform(0.0, 1.0, samples)
+    osc, terms = _oscillations(obj, base, scales, probes)
+    meds = _medians(osc)
     if np.any(meds <= 0.0):
         raise ValueError("profile shows no oscillation at some scale")
     x = np.log(scales)
@@ -236,13 +300,8 @@ def divergence_witness(
     samples = _check_int(samples, "samples", 8, _MAX_SAMPLES)
     probes = _check_int(probes, "probes", 8, _MAX_PROBES)
     steps = _validate_scales(steps if steps is not None else 10.0 ** -np.arange(3, 10))
-    fn, _ = _make_profile(obj, float(steps[-1]))
-    rng = np.random.default_rng(seed)
-    base = rng.uniform(0.0, 1.0, samples)
-    quotients = np.empty(steps.size)
-    for i, h in enumerate(steps):
-        osc = _oscillation_grid(fn, base, float(h), probes)
-        quotients[i] = np.median(osc) / h
+    base = np.random.default_rng(seed).uniform(0.0, 1.0, samples)
+    quotients = _medians(_oscillations(obj, base, steps, probes)[0]) / steps
     ratios = np.log10(quotients[1:] / quotients[:-1])
     spacing = -np.diff(np.log10(steps))
     implied = 1.0 - float(np.mean(ratios / spacing))

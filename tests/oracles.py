@@ -57,6 +57,30 @@ def mp_modulator(desc, x):
     return total
 
 
+def mp_series_oscillation(a, b, n, kind, w0, h, probes, prec=256):
+    """max |W(w0 + d) - W(w0)| over d = +-h j / probes, j = 1..probes.
+
+    W(w) = sum_{t=1..n} a**t trig(2 pi b**t w) at the exact real points
+    w0 + d, in ``prec``-bit arithmetic: enough to hold b**n (w0 + d) with
+    every fractional bit of a float w0.
+    """
+    with mpmath.workprec(prec):
+        amps = [mpmath.mpf(a) ** t for t in range(1, n + 1)]
+        trig = mpmath.sin if kind == "sine" else mpmath.cos
+
+        def profile(w):
+            return mpmath.fsum(
+                amp * trig(2 * mpmath.pi * mpmath.frac(b**t * w))
+                for t, amp in enumerate(amps, 1)
+            )
+
+        w0 = mpmath.mpf(w0)
+        at_w0 = profile(w0)
+        offsets = [s * mpmath.mpf(h) * j / probes
+                   for j in range(1, probes + 1) for s in (1, -1)]
+        return float(max(abs(profile(w0 + d) - at_w0) for d in offsets))
+
+
 def mp_density(desc, x):
     lam = mpmath.mpf(desc["lambda"])
     return mp_weight(desc["k"], x) * (1 + lam * mp_modulator(desc, x))

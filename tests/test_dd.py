@@ -280,6 +280,21 @@ class TestFixedPointPhase:
             assert angle_err(theta[i], Fraction(want, 2**128)) < ANGLE_TOL
         assert theta.shape == (n,)
 
+    def test_two_word_harmonic_array(self):
+        # harmonics past 2**64, as the roughness scans build them mod 2**128
+        hs = [1, 2**53, 2**64 - 1, 2**64 + 1, 3**72, 5**50 % 2**128, 2**128 - 1]
+        h = (np.array([v >> 64 for v in hs], dtype=np.uint64),
+             np.array([v & (2**64 - 1) for v in hs], dtype=np.uint64))
+        w = (np.array([v >> 64 for v in EDGE_WORDS], dtype=np.uint64)[:, None],
+             np.array([v & (2**64 - 1) for v in EDGE_WORDS], dtype=np.uint64)[:, None])
+        f1, f0 = _dd.fold_harmonic(w, h)
+        assert f1.shape == (len(EDGE_WORDS), len(hs))
+        for i, v in enumerate(EDGE_WORDS):
+            for j, hj in enumerate(hs):
+                assert words((f1[:, j], f0[:, j]), i) == v * hj % 2**128
+                assert words(_dd.fold_harmonic(phase_of(Fraction(v, 2**128)), hj)) \
+                    == v * hj % 2**128
+
     def test_angle_next_to_zero_and_one(self):
         theta = _dd.phase_angle(phase_of(Fraction(1, 2**128)))[0]
         assert angle_err(theta, Fraction(1, 2**128)) < 1e-52

@@ -294,8 +294,8 @@ class TestEvalModulator:
             assert vec[i] == eval_modulator(m, float(x))
 
 
-def modulator_strategy(max_phase_slope=None):
-    """Random modulators; optionally capped by quantization feasibility."""
+def modulator_strategy():
+    """Random modulators, steep Weierstrass truncations included."""
     trig = st.builds(
         lambda k, lam, modes: trig_modulator(k, lam, modes),
         st.floats(min_value=0.4, max_value=2.0),

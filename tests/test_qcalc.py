@@ -152,15 +152,20 @@ class TestQPearsonDensity:
     @given(m=modulator_strategy(), x=st.floats(min_value=1e-3, max_value=1e3))
     @settings(max_examples=80, deadline=None)
     def test_invariant_any_modulator(self, m, x):
+        # The modulator enters the residual as f(q*x) * lam * (g(q*x) - g(x)),
+        # and the phases behind g carry ~1e-32 |u| of dd error that each
+        # harmonic amplifies.  Draws whose quantization budget (which bounds
+        # that error many times over) crosses ~1/3 of the tolerance are held
+        # to the 4x noise certificate instead: harmonics reach 5**30 here.
         d = PerturbedDensity.of(m)
         res = q_pearson_residual(d, x)
         w = m.weight
-        scale = (
-            eval_weight(w, x)
-            * max(1.0, math.sqrt(w.q) * x)
-            * (1.0 + abs(m.lam) * m.sup_bound)
-        )
-        assert abs(res) <= 1e-13 * scale
+        local = eval_weight(w, x) * max(1.0, math.sqrt(w.q) * x)
+        noise = abs(m.lam) * phase_noise_budget(m)
+        if noise < 3e-14:
+            assert abs(res) <= 1e-13 * local * (1.0 + abs(m.lam) * m.sup_bound)
+        else:
+            assert abs(res) <= 4.0 * noise * local
 
     def test_discriminates_non_q_periodic_modulation(self):
         # A harmonic at non-integer frequency is NOT q-periodic, and the

@@ -6,10 +6,12 @@ the determinism test pins exact reproducibility at a fixed seed.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracles
 from test_measures import weier_modulator
 
 from qmoments.measures import LogNormalWeight, Modulator, TrigMode, WeierstrassSpec
@@ -97,6 +99,29 @@ def test_depth_cap():
     assert est.terms_used == 10_000
 
 
+@pytest.mark.parametrize(
+    "spec, scales, samples, probes",
+    [
+        # the largest grid the validators admit, 4096 x 2*256 per scale
+        (WeierstrassSpec(0.5, 3, 5, "sine"), 2.0 ** -np.arange(4, 7), 4096, 256),
+        # the depth cap, 10 000 terms
+        (WeierstrassSpec(0.999, 2, 5, "sine"), 2.0 ** -np.arange(4, 9), 8, 8),
+        (WeierstrassSpec(0.999, 2, 5, "sine"), 2.0 ** -np.arange(4, 7), 256, 64),
+    ],
+)
+def test_scan_memory_is_bounded(spec, scales, samples, probes):
+    # the scan works in blocks under fixed element budgets, so its peak
+    # does not grow with samples x probes (a full grid here is 16 MB per
+    # float array) or with the series depth
+    tracemalloc.start()
+    try:
+        holder_estimate(spec, scales=scales, samples=samples, probes=probes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+
+
 def test_divergence_witness_grows_without_bound():
     wit = divergence_witness(WeierstrassSpec(0.5, 3, 5, "sine"))
     assert np.all(np.diff(wit.quotients) > 0.0)
@@ -160,6 +185,18 @@ def test_profile_wiring_matches_pure_python():
             assert got == pytest.approx(ref, rel=1e-12)
 
 
+@pytest.mark.parametrize("w0", [0.3, 0.71])
+def test_deep_series_oscillation_matches_mpmath(w0):
+    # at h = 2**-10 the depth rises to 72 terms, so the deepest harmonic
+    # 3**72 ~ 2**114 sees every bit of w0 + d; the exact phases must give
+    # the oscillation of the real points w0 + d, not of rounded ones
+    spec = WeierstrassSpec(0.9, 3, 40, "sine")
+    h = 2.0**-10
+    got = local_oscillation(spec, w0, h, probes=8)
+    ref = oracles.mp_series_oscillation(0.9, 3, 72, "sine", w0, h, 8)
+    assert got == pytest.approx(ref, rel=1e-12)
+
+
 def test_validation():
     spec = WeierstrassSpec(0.5, 3, 5, "sine")
     for bad in (7, True, 2.5):
@@ -184,6 +221,8 @@ def test_validation():
         local_oscillation(spec, 0.1, 0.75)
     with pytest.raises(ValueError):
         local_oscillation(spec, 0.1, 1)
+    with pytest.raises(ValueError, match="w must be finite"):
+        local_oscillation(spec, np.array([0.1, math.inf]), 0.25)
 
 
 def test_constant_profile_refused():
