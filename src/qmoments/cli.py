@@ -71,10 +71,10 @@ from .quadrature import (
     MOMENT_SIGN_NOTE,
     BudgetExceededError,
     QuadratureSpec,
+    _integrate_orders,
+    _vanishing_orders,
     base_moment_closed_form,
-    integrate_moment,
     modulator_moment_factor,
-    vanishing_integral,
 )
 from .roughness import holder_estimate
 
@@ -200,14 +200,15 @@ def _vanish_cases(ks, orders, js, spec, tolerance) -> list:
     cases = []
     for k in ks:
         w = LogNormalWeight(k)
-        for n in orders:
+        by_j = {j: _orders_or_refusal(_vanishing_orders, w, orders, j, spec)
+                for j in js}
+        for i, n in enumerate(orders):
             for j in js:
                 cid = f"vanish/k={k}/n={n}/j={j}"
                 inputs = {"k": k, "n": n, "j": j}
-                try:
-                    r = vanishing_integral(w, n, j, spec)
-                except BudgetExceededError as exc:
-                    cases.append(_refused_case(cid, inputs, tolerance, exc))
+                r = by_j[j][i]
+                if isinstance(r, BudgetExceededError):
+                    cases.append(_refused_case(cid, inputs, tolerance, r))
                     continue
                 v = r.value_over_scale()
                 cases.append(
@@ -222,18 +223,25 @@ def run_vanish(ns) -> list:
     return _vanish_cases(ks, ns.n, ns.j, _spec(ns), ns.tolerance)
 
 
+def _orders_or_refusal(block_form, obj, orders, *args) -> list:
+    """One result per order from a block form, or its refusal per order."""
+    try:
+        return list(block_form(obj, orders, *args))
+    except BudgetExceededError as exc:
+        return [exc] * len(orders)
+
+
 def _moment_cases(tag, obj, m, orders, spec, tolerance, extra=None) -> list:
     factor = modulator_moment_factor(m) if m is not None else 1.0
     cases = []
-    for n in orders:
+    results = _orders_or_refusal(_integrate_orders, obj, orders, spec)
+    for n, r in zip(orders, results):
         cid = f"{tag}/n={n}"
         inputs = {"n": n}
         if extra:
             inputs.update(extra)
-        try:
-            r = integrate_moment(obj, n, spec)
-        except BudgetExceededError as exc:
-            cases.append(_refused_case(cid, inputs, tolerance, exc))
+        if isinstance(r, BudgetExceededError):
+            cases.append(_refused_case(cid, inputs, tolerance, r))
             continue
         v = r.value_over_scale()
         cases.append(

@@ -25,7 +25,7 @@ import numpy as np
 
 from .logscale import LogScaled
 from .measures import LogNormalWeight, PerturbedDensity, _check_int
-from .quadrature import QuadratureSpec, base_moment_closed_form, integrate_moment
+from .quadrature import QuadratureSpec, _integrate_orders, base_moment_closed_form
 
 __all__ = [
     "MAX_BASIS_DEGREE",
@@ -83,8 +83,7 @@ class MomentSequence:
         """Moments of a weight or perturbed density by verified quadrature."""
         count = _check_int(count, "count", 1)
         vals, errs = [], []
-        for n in range(count):
-            r = integrate_moment(obj, n, spec)
+        for r in _integrate_orders(obj, range(count), spec):
             vals.append(r.value)
             errs.append(r.error_estimate + r.series_tail_budget)
         k = obj.k if isinstance(obj, LogNormalWeight) else obj.weight.k

@@ -39,10 +39,12 @@ Design points
   evaluator.
 * One call evaluates both passes and all components of an integral
   (the base weight and every harmonic of a modulator, Weierstrass terms
-  included): the envelope once, the anchors of every panel and harmonic
-  once, and one matrix product per pass.  Nothing is cached, so no result
-  is shared across moment orders n: the n-independence of the modulator
-  factor is a claim under test.
+  included) for a block of moment orders.  The panel grid and the Filon
+  weights depend on k, T and the harmonic only, so a block plans and
+  computes them once; each order keeps its own envelope, anchors, sums
+  and error terms, and equals the one-order call bit for bit.  Nothing
+  is cached, so no result is shared across moment orders n: the
+  n-independence of the modulator factor is a claim under test.
 * Three error components are recorded separately: quadrature refinement
   (plus the eps * sigma granularity of the log-scaled value), Gaussian
   domain truncation, and (for Weierstrass content) the dropped series
@@ -50,15 +52,17 @@ Design points
   the *constructed, truncated* object and form ``error_estimate``; the
   series component measures distance to the untruncated limit object and
   is reported alongside, not mixed in.
-* Every integral is planned up front.  A harmonic above 2**53 (see
-  :func:`_plan_components`) or a plan above the node budget raises
-  :class:`BudgetExceededError` rather than silently under-resolving.
+* Every integral is planned up front.  A harmonic above 2**53, a k with
+  no finite double-double ln q (see :func:`_plan_components`) or a plan
+  above the node budget raises :class:`BudgetExceededError` rather than
+  silently under-resolving.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import starmap
 from typing import Union
 
 import numpy as np
@@ -73,6 +77,7 @@ from .measures import (
     WeierstrassSpec,
     _base_phase,
     _check_int,
+    _lnq_dd,
 )
 
 __all__ = [
@@ -113,6 +118,7 @@ def _filon_matrix() -> np.ndarray:
 
 
 _FILON_MATRIX = _filon_matrix()
+_TWO_L_PLUS_1 = 2.0 * np.arange(_NODES_PER_PANEL) + 1.0
 
 
 class BudgetExceededError(Exception):
@@ -250,14 +256,18 @@ def _panel_grid(T: float, p: int):
     return (2.0 * np.arange(p) + (1.0 - p)) * half, half
 
 
-def _phase_anchors(k: float, mu: float, harmonics, centers):
+def _phase_anchors(k: float, mu, harmonics, centers):
     """2*pi * frac(harmonic * (mu + c) / ln q), from exact phase folding.
 
-    One row per panel center c, one column per harmonic.
-    :func:`_plan_components` refuses harmonics above 2**53, so they fit a
-    uint64; harmonic 0 anchors every panel at 0.
+    One row per order's center mu and panel center c (mu varying
+    slowest), one column per harmonic.  :func:`_plan_components` refuses
+    harmonics above 2**53, so they fit a uint64; harmonic 0 anchors every
+    panel at 0.
     """
-    w1, w0 = _base_phase(k, *_dd.two_sum(mu, centers))
+    mu = np.atleast_1d(mu)
+    # a lone order's mu as a scalar spares two_sum a 2-D broadcast
+    th, tl = _dd.two_sum(mu[0] if mu.size == 1 else mu[:, None], centers)
+    w1, w0 = _base_phase(k, th.ravel(), tl.ravel())
     h = np.array(harmonics, dtype=np.uint64)
     return _dd.phase_angle(_dd.fold_harmonic((w1[:, None], w0[:, None]), h))
 
@@ -312,8 +322,9 @@ def _spherical_jn(a: float) -> np.ndarray:
     return j
 
 
-def _panel_integrals(k, n, components, T):
-    """Per-panel integrals of unit-amplitude components, both passes at once.
+def _panel_integrals(k, orders, components, T):
+    """Per-panel integrals of unit-amplitude components, both passes at once,
+    for a block of moment orders.
 
     ``components`` lists (harmonic, kind) pairs; the base weight is
     harmonic 0, whose anchors are 0 and whose Filon weights are the
@@ -324,21 +335,22 @@ def _panel_integrals(k, n, components, T):
     the sine takes the imaginary part.  ``sum_i W_i f(x_i)`` integrates the
     degree-31 interpolant of f against exp(i a x) over [-1, 1] exactly.
 
-    Returns the coarse and the fine (panels, components) partials, and per
-    component the rounding of the fine pass's weights relative to the
-    envelope's mass: each ``W_i`` is within ``2 eps w_i S(a)`` of its exact
-    value, ``S(a) = sum_l (2l+1) |j_l(a)|`` (measured against mpmath: up
-    to 1.74 eps w_i S(a)).  S is 1 at a = 0, peaks near 28 at a ~ 31 and
-    decays like 650 / a.
+    Returns each order's sigma, the coarse and the fine (orders, panels,
+    components) partials, and per component the rounding of the fine
+    pass's weights relative to the envelope's mass: each ``W_i`` is within
+    ``2 eps w_i S(a)`` of its exact value, ``S(a) = sum_l (2l+1) |j_l(a)|``
+    (measured against mpmath: up to 1.74 eps w_i S(a)).  S is 1 at a = 0,
+    peaks near 28 at a ~ 31 and decays like 650 / a.
     """
-    mu, _, c0, c1 = _center_residuals(k, n)
     grids = [_panel_grid(T, p) for p in _pass_counts(_smooth_panel_count(T, k))]
     centers = np.concatenate([c for c, _ in grids])
-    halves = np.repeat([h for _, h in grids], [c.size for c, _ in grids])
-    s = centers[:, None] + halves[:, None] * _GL_NODES
-    env = np.exp(-(k * k) * s * s + c0 + c1 * s)
+    s = np.concatenate([c[:, None] + half * _GL_NODES for c, half in grids])
+    residuals = [_center_residuals(k, n) for n in orders]
+    res = np.array(residuals)[:, :, None, None]  # mu, sigma, c0, c1 per order
+    env = np.exp(-(k * k) * s * s + res[:, 2] + res[:, 3] * s)
     harmonics = [h for h, _ in components]
-    rotation = np.exp(1j * _phase_anchors(k, mu, harmonics, centers))
+    rotation = np.exp(1j * _phase_anchors(k, res[:, 0, 0, 0], harmonics, centers))
+    rotation = rotation.reshape(len(orders), centers.size, len(harmonics))
     omega = np.array([_omega_s(k, h) for h in harmonics])
     sine = np.array([kind == "sine" for _, kind in components])
     out = []
@@ -347,10 +359,22 @@ def _panel_integrals(k, n, components, T):
         jn = np.array([_spherical_jn(a) for a in omega * half]).T
         here = slice(rows, rows + c.size)
         rows += c.size
-        z = rotation[here] * (env[here] @ (_FILON_MATRIX @ jn))
+        # one small product per order, as a stack: no result is shared
+        z = rotation[:, here] * (env[:, here] @ (_FILON_MATRIX @ jn))
         out.append(half * np.where(sine, z.imag, z.real))
-    s_fine = (2.0 * np.arange(_NODES_PER_PANEL) + 1.0) @ np.abs(jn)
-    return out[0], out[1], 2.0 * _EPS * s_fine
+    weight_error = 2.0 * _EPS * (_TWO_L_PLUS_1 @ np.abs(jn))
+    return [sigma for _, sigma, _, _ in residuals], out[0], out[1], weight_error
+
+
+def _each_order(k, orders, components, T):
+    """(sigma, coarse, fine, weight error) per order, from blocks of orders
+    whose panel rows x (nodes + components) stay within ``_BLOCK_ELEMENTS``."""
+    rows = sum(_pass_counts(_smooth_panel_count(T, k)))
+    size = max(1, _BLOCK_ELEMENTS // (rows * (_NODES_PER_PANEL + len(components))))
+    for i in range(0, len(orders), size):
+        *parts, weight_error = _panel_integrals(k, orders[i : i + size], components, T)
+        for sigma, coarse, fine in zip(*parts):
+            yield sigma, coarse, fine, weight_error
 
 
 def _plan_components(k, T, modes, spec: QuadratureSpec) -> None:
@@ -359,7 +383,9 @@ def _plan_components(k, T, modes, spec: QuadratureSpec) -> None:
     Phases fold exactly at any harmonic, but above 2**53 ``_omega_s``
     rounds it, and it amplifies the ~1e-32 |u| base-phase error past
     1e-16 |u|; the anchors also carry harmonics as uint64, below 2**64.
-    A non-finite ``a = omega * half`` cannot be integrated at all.
+    A non-finite ``a = omega * half`` cannot be integrated at all, nor
+    can any phase be anchored at a k whose ln q is not a finite
+    double-double (:func:`~qmoments.measures._lnq_dd`).
     """
     p = _smooth_panel_count(T, k)
     half = T / p  # the coarse pass; the fine pass has smaller panels
@@ -371,6 +397,10 @@ def _plan_components(k, T, modes, spec: QuadratureSpec) -> None:
                 f"harmonic {harmonic} at k={k} cannot be integrated: quadrature "
                 "needs harmonic <= 2**53 and a finite oscillation per panel"
             )
+    try:
+        _lnq_dd(k)
+    except ValueError as exc:
+        raise BudgetExceededError(f"cannot integrate at {exc}") from None
     components = 1 + len(modes)
     per_component = _NODES_PER_PANEL * sum(_pass_counts(p))
     total = components * per_component
@@ -383,6 +413,9 @@ def _plan_components(k, T, modes, spec: QuadratureSpec) -> None:
 
 
 _EPS = 2.220446049250313e-16
+# panel rows x (nodes + components) of one block of orders: keeps a block's
+# arrays near 1 MB at any order count, and each product on one BLAS thread
+_BLOCK_ELEMENTS = 2**15
 _INV_SQRT_PI = 0.5641895835477563
 # largest |n| accepted as a moment order
 _MAX_ORDER = 2**48
@@ -407,6 +440,13 @@ def _series_tail(obj) -> float:
     return 0.0
 
 
+def _log_value(sigma: float, x: float) -> LogScaled:
+    """exp(sigma) * x, stored as sigma + ln|x| with the sign of x."""
+    if x == 0.0:
+        return LogScaled.zero()
+    return LogScaled(1 if x > 0 else -1, sigma + math.log(abs(x)))
+
+
 def integrate_moment(
     obj: Union[LogNormalWeight, PerturbedDensity],
     n: int,
@@ -418,7 +458,14 @@ def integrate_moment(
     ``ln_scale`` equals the closed-form base moment's log, so
     ``value_over_scale()`` reads directly as the modulator factor.
     """
-    n = _check_int(n, "moment order", -_MAX_ORDER, _MAX_ORDER)
+    return next(_integrate_orders(obj, [n], spec))
+
+
+def _integrate_orders(obj, orders, spec: QuadratureSpec = QuadratureSpec()):
+    """:func:`integrate_moment` at each of ``orders``.  The orders are
+    checked and the integral planned now; the results are then yielded in
+    order as each block of orders is evaluated."""
+    orders = [_check_int(n, "moment order", -_MAX_ORDER, _MAX_ORDER) for n in orders]
     weight, lam, modes = _moment_parts(obj)
     k = weight.k
     if lam == 0.0:
@@ -426,39 +473,36 @@ def integrate_moment(
     T = _truncation_width(spec, k)
     _plan_components(k, T, modes, spec)
 
-    sigma, _, _ = _sigma_dd(k, n)
     amps = np.array([1.0] + [lam * a for a, _, _ in modes])
-    coarse, fine, weight_error = _panel_integrals(
-        k, n, [(0, "cosine")] + [(h, kind) for _, h, kind in modes], T
-    )
-    parts = fine.sum(axis=0)
-    total = float(amps @ parts)
-    dj_total = float(np.abs(amps) @ np.abs(parts - coarse.sum(axis=0)))
-
-    i_hat = (k * _INV_SQRT_PI) * total
+    abs_amps = np.abs(amps)
     sup = sum(abs(a) for a, _, _ in modes)
     rel_tail = (1.0 + abs(lam) * sup) * math.erfc(k * T)
-    # the value is stored as sigma + ln|i_hat|, so value_over_scale()
-    # carries ~eps * |sigma| of representation error on top of quadrature
-    rel_quad = (
-        max((k * _INV_SQRT_PI) * dj_total, 8.0 * _EPS)
-        + float(np.abs(amps) @ weight_error)
-        + _EPS * abs(sigma)
-    )
-    value = (
-        LogScaled.zero()
-        if i_hat == 0.0
-        else LogScaled(1 if i_hat > 0 else -1, sigma + math.log(abs(i_hat)))
-    )
-    return QuadratureResult(
-        value=value,
-        ln_scale=sigma,
-        rel_quad_error=rel_quad,
-        rel_tail_error=rel_tail,
-        series_tail_budget=_series_tail(obj),
-        nodes_used=_NODES_PER_PANEL * (coarse.size + fine.size),
-        truncation=T,
-    )
+    series_tail = _series_tail(obj)
+
+    def result(sigma, coarse, fine, weight_error):
+        parts = fine.sum(axis=0)
+        total = float(amps @ parts)
+        dj_total = float(abs_amps @ np.abs(parts - coarse.sum(axis=0)))
+        i_hat = (k * _INV_SQRT_PI) * total
+        # the value is stored as sigma + ln|i_hat|, so value_over_scale()
+        # carries ~eps * |sigma| of representation error on top of quadrature
+        rel_quad = (
+            max((k * _INV_SQRT_PI) * dj_total, 8.0 * _EPS)
+            + float(abs_amps @ weight_error)
+            + _EPS * abs(sigma)
+        )
+        return QuadratureResult(
+            value=_log_value(sigma, i_hat),
+            ln_scale=sigma,
+            rel_quad_error=rel_quad,
+            rel_tail_error=rel_tail,
+            series_tail_budget=series_tail,
+            nodes_used=_NODES_PER_PANEL * (coarse.size + fine.size),
+            truncation=T,
+        )
+
+    components = [(0, "cosine")] + [(h, kind) for _, h, kind in modes]
+    return starmap(result, _each_order(k, orders, components, T))
 
 
 def vanishing_integral(
@@ -476,38 +520,40 @@ def vanishing_integral(
     ``sigma + ln(sqrt(pi)/k)``; compare ``|value|`` against
     ``max(error_estimate, rel_tol) * exp(ln_scale)``.
     """
+    return next(_vanishing_orders(w, [n], j, spec))
+
+
+def _vanishing_orders(w, orders, j, spec: QuadratureSpec = QuadratureSpec()):
+    """:func:`vanishing_integral` at each of ``orders``, checked and planned
+    as :func:`_integrate_orders` is."""
     if not isinstance(w, LogNormalWeight):
         raise ValueError(f"expected a LogNormalWeight, got {w!r}")
-    n = _check_int(n, "moment order", -_MAX_ORDER, _MAX_ORDER)
+    orders = [_check_int(n, "moment order", -_MAX_ORDER, _MAX_ORDER) for n in orders]
     j = _check_int(j, "sine harmonic j", 1)
     k = w.k
     T = _truncation_width(spec, k)
     _plan_components(k, T, [(1.0, j, "sine")], spec)
 
-    sigma, _, _ = _sigma_dd(k, n)
-    coarse, fine, weight_error = _panel_integrals(k, n, [(j, "sine")], T)
-    j_sin = float(fine.sum())
-    dj = abs(j_sin - float(coarse.sum()))
-    ln_scale = sigma + math.log(math.sqrt(math.pi) / k)
     inv_scale = k / math.sqrt(math.pi)
-    value = (
-        LogScaled.zero()
-        if j_sin == 0.0
-        else LogScaled(1 if j_sin > 0 else -1, sigma + math.log(abs(j_sin)))
-    )
-    return QuadratureResult(
-        value=value,
-        ln_scale=ln_scale,
-        # the stored sigma + ln|j_sin| is off by ~eps * |sigma| relative to
-        # the value itself, which is near 0 here, not near the scale
-        rel_quad_error=max(inv_scale * dj, 8.0 * _EPS)
-        + float(weight_error[0])
-        + _EPS * abs(sigma) * inv_scale * abs(j_sin),
-        rel_tail_error=math.erfc(k * T),
-        series_tail_budget=0.0,
-        nodes_used=_NODES_PER_PANEL * (coarse.size + fine.size),
-        truncation=T,
-    )
+
+    def result(sigma, coarse, fine, weight_error):
+        j_sin = float(fine.sum())
+        dj = abs(j_sin - float(coarse.sum()))
+        return QuadratureResult(
+            value=_log_value(sigma, j_sin),
+            ln_scale=sigma + math.log(math.sqrt(math.pi) / k),
+            # the stored sigma + ln|j_sin| is off by ~eps * |sigma| relative
+            # to the value itself, which is near 0 here, not near the scale
+            rel_quad_error=max(inv_scale * dj, 8.0 * _EPS)
+            + float(weight_error[0])
+            + _EPS * abs(sigma) * inv_scale * abs(j_sin),
+            rel_tail_error=math.erfc(k * T),
+            series_tail_budget=0.0,
+            nodes_used=_NODES_PER_PANEL * (coarse.size + fine.size),
+            truncation=T,
+        )
+
+    return starmap(result, _each_order(k, orders, [(j, "sine")], T))
 
 
 def base_moment_closed_form(w: LogNormalWeight, n: int) -> LogScaled:

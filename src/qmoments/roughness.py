@@ -35,7 +35,7 @@ callable is evaluated on the full grid of points w + d.
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, takewhile
 from typing import Union
 
 import numpy as np
@@ -70,8 +70,9 @@ class HolderEstimate:
     ``intercept`` the fitted ln-oscillation at scale 1; ``r_squared``
     how well a single power law explains the scan.  ``oscillations``
     holds the median oscillation at each scale.  ``terms_used`` is the
-    series depth actually evaluated, None when the profile is not a
-    truncated series.
+    series depth, terms whose harmonic is 0 mod 2**128 included although
+    they add exactly nothing and are skipped; None when the profile is
+    not a truncated series.
     """
 
     alpha: float
@@ -120,14 +121,19 @@ def _series_terms(obj, h_min: float):
 
     Returns ``(amps, (h1, h0), shifts, terms_used)``; Weierstrass harmonics
     are reduced mod 2**128 as they are built, which is all a fold needs,
-    so no depth ever forms b**N.  ``terms_used`` is None for trig modes.
+    so no depth ever forms b**N.  They stop at the first that is 0 mod
+    2**128 (b**t once t * v2(b) >= 128): from there every term folds each
+    phase to 0 and adds exactly 0 to E and O.  ``terms_used`` is the
+    series depth, those terms included; None for trig modes.
     """
     scale, c = (obj.lam, obj.content) if isinstance(obj, Modulator) else (1.0, obj)
     if isinstance(c, WeierstrassSpec):
         depth = max(c.terms, _depth_for_scale(c.a, c.b, h_min))
-        amps = scale * np.cumprod(np.full(depth, c.a))
-        harmonics = accumulate([c.b % 2**128] * depth, lambda h, b: h * b % 2**128)
-        kinds = [c.kind] * depth
+        harmonics = list(takewhile(bool, accumulate(
+            [c.b % 2**128] * depth, lambda h, b: h * b % 2**128
+        )))
+        amps = scale * np.cumprod(np.full(len(harmonics), c.a))
+        kinds = [c.kind] * len(harmonics)
     else:
         depth = None
         amps = scale * np.array([m.amplitude for m in c], dtype=float)

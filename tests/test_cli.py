@@ -175,18 +175,39 @@ class TestExitCodes:
         # Every component costs the same 1216 nodes at the default
         # rel_tol, so 60 000 modes (more than 55 188) need more nodes than
         # the default budget of 2^26 allows; the sweep must report that,
-        # not crash.
+        # not crash, one failed case per order under the order's own id,
+        # although the block of orders is refused as a whole.
         modes = [{"a": 1.0, "b": b, "kind": "sine"} for b in range(1, 60_001)]
         mod = tmp_path / "many_modes.json"
         mod.write_text(json.dumps({"k": 1.0, "lambda": 1e-5, "modes": modes}))
         code, rep = run_json(
-            tmp_path, ["moments", "--modulator", str(mod), "--n", "0..0"]
+            tmp_path, ["moments", "--modulator", str(mod), "--n", "0..2"]
         )
         assert code == 1
-        case = rep["cases"][0]
-        assert case["pass"] is False
-        assert case["value"] is None
-        assert "budget" in case["inputs"]["reason"]
+        assert [c["id"] for c in rep["cases"]] == [
+            f"moments/k=1.0/n={n}" for n in range(3)
+        ]
+        for case in rep["cases"]:
+            assert case["pass"] is False
+            assert case["value"] is None
+            assert "budget" in case["inputs"]["reason"]
+
+    @pytest.mark.parametrize("args, ids", [
+        (["moments", "--k", "1e-160", "--n", "0..1"],
+         [f"moments/k=1e-160/n={n}" for n in range(2)]),
+        (["vanish", "--k", "1e-160", "--n", "0..2", "--j", "1..2"],
+         [f"vanish/k=1e-160/n={n}/j={j}" for n in range(3) for j in (1, 2)]),
+    ], ids=["moments", "vanish"])
+    def test_unanchorable_k_is_a_named_failed_case(self, args, ids, tmp_path, capsys):
+        # ln q is not a finite double-double at k = 1e-160: a numerical
+        # refusal, one failed case per order, not a configuration error
+        code, rep = run_json(tmp_path, args)
+        assert code == 1
+        assert [c["id"] for c in rep["cases"]] == ids
+        for case in rep["cases"]:
+            assert case["pass"] is False and case["value"] is None
+            assert "k=1e-160" in case["inputs"]["reason"]
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_overflowing_noise_floor_is_a_named_failed_case(self, tmp_path, capsys):
         # log_slope_bound overflows for (a b)**N = 900**200; the floor it

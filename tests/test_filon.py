@@ -3,9 +3,9 @@
 Spherical Bessel functions are checked against scipy and mpmath, single
 panels against the closed complex-erf form at harmonics 3^10 and 3^20,
 and whole components against the composite Gauss-Legendre path the rule
-replaced.  One call integrates many components as if one at a time, and
-anchors its phases once.  The rule's cost must not depend on the
-harmonic.
+replaced.  One call integrates many components, and many orders, as if
+one at a time, and anchors its phases once.  The rule's cost must not
+depend on the harmonic.
 """
 
 import math
@@ -62,7 +62,8 @@ KINDS = pytest.mark.parametrize("kind", ["sine", "cosine"], ids=["sine-1", "cosi
 
 def panels(k, n, components):
     T = qd._truncation_width(QuadratureSpec(), k)
-    return T, qd._panel_integrals(k, n, components, T)
+    _, (coarse,), (fine,), weight_error = qd._panel_integrals(k, [n], components, T)
+    return T, (coarse, fine, weight_error)
 
 
 @pytest.mark.parametrize("harmonic", [3**10, 3**20])
@@ -137,7 +138,11 @@ def test_weight_rounding_term_covers_the_high_harmonic_sine():
     lambda: integrate_moment(PerturbedDensity.of(
         Modulator(LogNormalWeight(1.0), 0.9, WeierstrassSpec(0.5, 3, 10, "sine"))), 2),
     lambda: vanishing_integral(LogNormalWeight(1.0), 3, 5),
-], ids=["base", "weierstrass", "vanishing"])
+    # a block of orders anchors all its orders in one call
+    lambda: list(qd._integrate_orders(PerturbedDensity.of(
+        Modulator(LogNormalWeight(1.0), 0.9, WeierstrassSpec(0.5, 3, 10, "sine"))), range(12))),
+    lambda: list(qd._vanishing_orders(LogNormalWeight(1.0), range(11), 5)),
+], ids=["base", "weierstrass", "vanishing", "block", "vanishing-block"])
 def test_each_integral_anchors_its_phases_once(call, monkeypatch):
     calls = []
     anchors = qd._phase_anchors

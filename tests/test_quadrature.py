@@ -8,12 +8,14 @@ node accounting, budget refusal) is exercised here as well.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from test_measures import trig_modulator, weier_modulator
 
+from qmoments import quadrature as qd
 from qmoments.logscale import LogScaled
 from qmoments.measures import LogNormalWeight, PerturbedDensity
 from qmoments.quadrature import (
@@ -261,6 +263,17 @@ def test_budget_refusal_is_eager_and_named():
     dev = abs(r.value_over_scale() - 1.0)
     assert dev <= max(r.error_estimate, 1e-12)
     assert dev <= 1e-10
+
+
+@pytest.mark.parametrize("k", [1e-160, 1e-155, 1e155, 1e160])
+def test_unanchorable_k_is_a_named_budget_refusal(k, monkeypatch):
+    # ln q = -1/(2 k**2) is not a finite double-double here, so no phase
+    # can be anchored; the planner refuses, naming k, before any anchor
+    anchored = []
+    monkeypatch.setattr(qd, "_phase_anchors", lambda *args: anchored.append(args))
+    with pytest.raises(BudgetExceededError, match=re.escape(f"k={k!r}")):
+        integrate_moment(LogNormalWeight(k), 0)
+    assert anchored == []
 
 
 def test_quadrature_spec_validation():

@@ -235,3 +235,17 @@ def test_determinism():
     b = holder_estimate(WeierstrassSpec(0.5, 3, 5, "sine"), seed=7)
     assert a.alpha == b.alpha
     assert np.array_equal(a.oscillations, b.oscillations)
+
+
+@pytest.mark.parametrize("kind, alpha, r_squared", [
+    ("sine", 0.002608038265017077, 0.14622125099319505),
+    ("cosine", 0.0010628310190790838, 0.030185715604422292),
+])
+def test_zero_harmonics_add_nothing(kind, alpha, r_squared):
+    # b = 2 reaches 2**128 = 0 (mod 2**128) at t = 128, so 9 873 of the
+    # 10 000 terms fold every phase to 0; skipping them must leave the fit
+    # as it was when every term was folded (values frozen from that path)
+    est = holder_estimate(WeierstrassSpec(0.999, 2, 5, kind), samples=256, probes=64)
+    assert est.terms_used == 10_000
+    assert abs(est.alpha - alpha) <= 1e-12
+    assert abs(est.r_squared - r_squared) <= 1e-12
