@@ -254,10 +254,15 @@ def fold_harmonic(w, h):
 
 
 def phase_angle(w):
-    """The float64 angle 2*pi*w, from w = fh + fl with fh w rounded to 53 bits."""
+    """The float64 angle 2*pi*w of a phase w in uint64 words."""
     w1, w0 = w
     top = (w1 >> np.uint64(11)) * 2.0**-53
     rest = (w1 & np.uint64(0x7FF)) * 2.0**-64 + w0 * 2.0**-128
+    return phase_angle_split(top, rest)
+
+
+def phase_angle_split(top, rest):
+    """The float64 angle 2*pi*(top + rest), within an ulp, for a small rest."""
     fh = top + rest
-    fl = rest - (fh - top)  # exact: |rest| < ulp(top) unless top is 0
+    fl = rest - (fh - top)  # exact while |rest| <= |top|, or top is 0
     return TWO_PI_HI * fh + (TWO_PI_HI * fl + TWO_PI_LO * fh)

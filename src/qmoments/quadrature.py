@@ -30,13 +30,14 @@ Design points
   error estimate comes from an independent second pass at 1.5x the panel
   count, never from the tolerance the caller asked for, plus a bound on
   the rounding of the Filon weights.
-* Oscillatory phases are anchored per panel: the base phase
-  frac((mu + c) / ln q) comes from double-double arithmetic as a 128-bit
-  fixed-point fraction, which each harmonic folds exactly.  The integer-
-  harmonic structure is *not* used to reduce phases symbolically: the
-  sine integrals must be seen to vanish by honest numerical evaluation
-  (cancellation across panels), not by an identity baked into the
-  evaluator.
+* Oscillatory phases are anchored per panel in exact integers: ln q is
+  -1/(2 k**2) by definition, so (mu + c) / ln q = -2 k**2 (mu + c) is a
+  binary fraction of doubles that each harmonic folds mod 1, with no
+  rounded ln q, and each order's anchors come from its own mu, never
+  from mu / ln q = -(n + 1).  The integer-harmonic structure is *not*
+  used to reduce phases symbolically: the sine integrals must be seen to
+  vanish by honest numerical evaluation (cancellation across panels),
+  not by an identity baked into the evaluator.
 * One call evaluates both passes and all components of an integral
   (the base weight and every harmonic of a modulator, Weierstrass terms
   included) for a block of moment orders.  The panel grid and the Filon
@@ -62,7 +63,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import starmap
 from typing import Union
 
 import numpy as np
@@ -75,7 +75,6 @@ from .measures import (
     Modulator,
     PerturbedDensity,
     WeierstrassSpec,
-    _base_phase,
     _check_int,
     _lnq_dd,
 )
@@ -119,6 +118,8 @@ def _filon_matrix() -> np.ndarray:
 
 _FILON_MATRIX = _filon_matrix()
 _TWO_L_PLUS_1 = 2.0 * np.arange(_NODES_PER_PANEL) + 1.0
+# 2l + 1 as floats up to the deepest start of _spherical_jn's recurrence
+_ODD = [2.0 * l + 1.0 for l in range(_NODES_PER_PANEL + 36)]
 
 
 class BudgetExceededError(Exception):
@@ -256,20 +257,50 @@ def _panel_grid(T: float, p: int):
     return (2.0 * np.arange(p) + (1.0 - p)) * half, half
 
 
-def _phase_anchors(k: float, mu, harmonics, centers):
-    """2*pi * frac(harmonic * (mu + c) / ln q), from exact phase folding.
+_MASK128 = 2**128 - 1
 
-    One row per order's center mu and panel center c (mu varying
-    slowest), one column per harmonic.  :func:`_plan_components` refuses
-    harmonics above 2**53, so they fit a uint64; harmonic 0 anchors every
-    panel at 0.
+
+def _turns(num: int, den: int) -> int:
+    """floor(frac(num / den) * 2**128) for a power of two ``den``."""
+    return (num << 128) // den & _MASK128
+
+
+def _phase_anchors(k: float, mu, harmonics, grids):
+    """2*pi * frac(harmonic * (mu + c) / ln q), from exact integer phases.
+
+    One row per order's center mu and panel center c of the ``grids``
+    (``_panel_grid`` pairs; mu varies slowest, then the grids in order),
+    one column per harmonic h.  As ln q = -1/(2 k**2), u = (mu + c) / ln q
+    = -2 k**2 (mu + c) is an exact binary fraction of doubles: no rounded
+    ln q enters, and each order's phases come from its own mu alone.  A
+    grid's centers are c_i = c_0 + 2 i half, so h u_i = S + i D, with D =
+    -4 h k**2 half exact mod 1 and S = h u_0 mod 1 within h * 2**-128.
+    With every i below 2**L, both split at b = 53 - L bits into a head,
+    exact in ``i * head`` and in the sum of heads, and a rest below 2**-b
+    whose rounding costs about 2**(2L - 106) turns.
     """
-    mu = np.atleast_1d(mu)
-    # a lone order's mu as a scalar spares two_sum a 2-D broadcast
-    th, tl = _dd.two_sum(mu[0] if mu.size == 1 else mu[:, None], centers)
-    w1, w0 = _base_phase(k, th.ravel(), tl.ravel())
-    h = np.array(harmonics, dtype=np.uint64)
-    return _dd.phase_angle(_dd.fold_harmonic((w1[:, None], w0[:, None]), h))
+    kn, kd = k.as_integer_ratio()
+    un, ud = -2 * kn * kn, kd * kd  # -2 k**2
+    counts = [c.size for c, _ in grids]
+    b = 53 - max(counts).bit_length()
+    turns = []  # each grid's D, then each order's S per grid
+    for _, half in grids:
+        hn, hd = half.as_integer_ratio()
+        turns += [_turns(2 * h * un * hn, ud * hd) for h in harmonics]
+    firsts = [float(c[0]).as_integer_ratio() for c, _ in grids]
+    for m in np.atleast_1d(mu).tolist():
+        mn, md = m.as_integer_ratio()
+        for cn, cd in firsts:
+            u0 = _turns(un * (mn * cd + cn * md), ud * md * cd)
+            turns += [h * u0 & _MASK128 for h in harmonics]
+    low = (1 << (128 - b)) - 1
+    split = np.array([[math.ldexp(t >> (128 - b), -b) for t in turns],
+                      [math.ldexp(t & low, -128) for t in turns]])
+    split = np.repeat(split.reshape(2, -1, len(grids), len(harmonics)), counts, axis=2)
+    i = np.array([j for p in counts for j in range(p)], dtype=float)[:, None]
+    head, rest = i * split[:, :1] + split[:, 1:]
+    head -= np.floor(head)
+    return _dd.phase_angle_split(head, rest).reshape(-1, len(harmonics))
 
 
 def _omega_s(k: float, harmonic: int) -> float:
@@ -292,31 +323,33 @@ def _spherical_jn(a: float) -> np.ndarray:
     x = abs(a)
     top = _NODES_PER_PANEL - 1
     if x == 0.0:
-        out = [1.0] + [0.0] * top
+        return np.eye(1, top + 1)[0]
+    s, c = math.sin(x), math.cos(x)
+    j0, j1 = s / x, (s / x - c) / x
+    if x >= _NODES_PER_PANEL:
+        out = [j0, j1]
+        prev, f = j0, j1
+        for odd in _ODD[1:top]:
+            prev, f = f, odd / x * f - prev
+            out.append(f)
+        j = np.array(out)
     else:
-        s, c = math.sin(x), math.cos(x)
-        j0, j1 = s / x, (s / x - c) / x
-        if x >= _NODES_PER_PANEL:
-            out = [j0, j1]
-            for l in range(1, top):
-                out.append((2 * l + 1) / x * out[l] - out[l - 1])
-        else:
-            out = [0.0] * (top + 1)
-            f_up, f, norm = 0.0, 1.0, 0.0
-            for l in range(36 + int(x), 0, -1):
-                if l <= top:
-                    out[l] = f
-                norm += (2 * l + 1) * f * f
-                f_up, f = f, (2 * l + 1) / x * f - f_up
-                if abs(f) > 1e100:  # small x grows fast; rescale
-                    f_up, f, norm = f_up * 1e-100, f * 1e-100, norm * 1e-200
-                    out = [v * 1e-100 for v in out]
-            out[0] = f
-            norm += f * f
-            ref, got = (j0, out[0]) if abs(j0) >= abs(j1) else (j1, out[1])
-            scale = math.copysign(1.0 / math.sqrt(norm), ref * got)
-            out = [v * scale for v in out]
-    j = np.array(out)
+        out = []  # j_31 ... j_1, unnormalised
+        f_up, f, norm = 0.0, 1.0, 0.0
+        for l in range(36 + int(x), 0, -1):
+            odd = _ODD[l]
+            if l <= top:
+                out.append(f)
+            norm += odd * f * f
+            f_up, f = f, odd / x * f - f_up
+            if abs(f) > 1e100:  # small x grows fast; rescale
+                f_up, f, norm = f_up * 1e-100, f * 1e-100, norm * 1e-200
+                out = [v * 1e-100 for v in out]
+        out.append(f)
+        norm += f * f
+        ref, got = (j0, f) if abs(j0) >= abs(j1) else (j1, out[-2])
+        scale = math.copysign(1.0 / math.sqrt(norm), ref * got)
+        j = np.array(out[::-1]) * scale
     if a < 0.0:
         j[1::2] = -j[1::2]
     return j
@@ -343,20 +376,19 @@ def _panel_integrals(k, orders, components, T):
     peaks near 28 at a ~ 31 and decays like 650 / a.
     """
     grids = [_panel_grid(T, p) for p in _pass_counts(_smooth_panel_count(T, k))]
-    centers = np.concatenate([c for c, _ in grids])
     s = np.concatenate([c[:, None] + half * _GL_NODES for c, half in grids])
     residuals = [_center_residuals(k, n) for n in orders]
     res = np.array(residuals)[:, :, None, None]  # mu, sigma, c0, c1 per order
     env = np.exp(-(k * k) * s * s + res[:, 2] + res[:, 3] * s)
     harmonics = [h for h, _ in components]
-    rotation = np.exp(1j * _phase_anchors(k, res[:, 0, 0, 0], harmonics, centers))
-    rotation = rotation.reshape(len(orders), centers.size, len(harmonics))
+    rotation = np.exp(1j * _phase_anchors(k, res[:, 0, 0, 0], harmonics, grids))
+    rotation = rotation.reshape(len(orders), -1, len(harmonics))
     omega = np.array([_omega_s(k, h) for h in harmonics])
     sine = np.array([kind == "sine" for _, kind in components])
     out = []
     rows = 0
     for c, half in grids:
-        jn = np.array([_spherical_jn(a) for a in omega * half]).T
+        jn = np.array([_spherical_jn(a) for a in (omega * half).tolist()]).T
         here = slice(rows, rows + c.size)
         rows += c.size
         # one small product per order, as a stack: no result is shared
@@ -366,26 +398,26 @@ def _panel_integrals(k, orders, components, T):
     return [sigma for _, sigma, _, _ in residuals], out[0], out[1], weight_error
 
 
-def _each_order(k, orders, components, T):
-    """(sigma, coarse, fine, weight error) per order, from blocks of orders
-    whose panel rows x (nodes + components) stay within ``_BLOCK_ELEMENTS``."""
+def _each_order(k, orders, components, T, result):
+    """``result(sigma, coarse, fine, weight_error)`` per order, from blocks of
+    orders whose panel rows x (nodes + components) stay within
+    ``_BLOCK_ELEMENTS``."""
     rows = sum(_pass_counts(_smooth_panel_count(T, k)))
     size = max(1, _BLOCK_ELEMENTS // (rows * (_NODES_PER_PANEL + len(components))))
     for i in range(0, len(orders), size):
         *parts, weight_error = _panel_integrals(k, orders[i : i + size], components, T)
         for sigma, coarse, fine in zip(*parts):
-            yield sigma, coarse, fine, weight_error
+            yield result(sigma, coarse, fine, weight_error)
 
 
 def _plan_components(k, T, modes, spec: QuadratureSpec) -> None:
     """Raise BudgetExceededError unless the base and every mode can be integrated.
 
     Phases fold exactly at any harmonic, but above 2**53 ``_omega_s``
-    rounds it, and it amplifies the ~1e-32 |u| base-phase error past
-    1e-16 |u|; the anchors also carry harmonics as uint64, below 2**64.
-    A non-finite ``a = omega * half`` cannot be integrated at all, nor
-    can any phase be anchored at a k whose ln q is not a finite
-    double-double (:func:`~qmoments.measures._lnq_dd`).
+    rounds it.  A non-finite ``a = omega * half`` cannot be integrated at
+    all, nor can a k whose ln q is not a finite double-double
+    (:func:`~qmoments.measures._lnq_dd`): the centering's double-double
+    division by 2 k**2 fails there as well.
     """
     p = _smooth_panel_count(T, k)
     half = T / p  # the coarse pass; the fine pass has smaller panels
@@ -502,7 +534,7 @@ def _integrate_orders(obj, orders, spec: QuadratureSpec = QuadratureSpec()):
         )
 
     components = [(0, "cosine")] + [(h, kind) for _, h, kind in modes]
-    return starmap(result, _each_order(k, orders, components, T))
+    return _each_order(k, orders, components, T, result)
 
 
 def vanishing_integral(
@@ -553,7 +585,7 @@ def _vanishing_orders(w, orders, j, spec: QuadratureSpec = QuadratureSpec()):
             truncation=T,
         )
 
-    return starmap(result, _each_order(k, orders, [(j, "sine")], T))
+    return _each_order(k, orders, [(j, "sine")], T, result)
 
 
 def base_moment_closed_form(w: LogNormalWeight, n: int) -> LogScaled:

@@ -18,6 +18,7 @@ for oscillatory moment integrals.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -275,13 +276,37 @@ def gl_component(k, n, harmonic, kind, rel_tol=1e-12):
     periods = abs(omega) * T / math.pi
     p = max(qd._smooth_panel_count(T, k), math.ceil(periods / 3.0))
     centers, half = qd._panel_grid(T, math.ceil(1.5 * p))
-    phase0 = qd._phase_anchors(k, mu, [harmonic], centers)[:, 0]
+    phase0 = qd._phase_anchors(k, mu, [harmonic], [(centers, half)])[:, 0]
     nodes, weights = np.polynomial.legendre.leggauss(32)
     code = 1 if kind == "sine" else 2
     partials = _kernels.gauss_panels(
         centers, half, nodes, weights, k * k, c0, c1, phase0, omega, code
     )
     return float(np.sum(partials))
+
+
+def exact_anchor_error(k, mus, centers, harmonics, angles):
+    """Largest |angle - 2 pi frac(h (mu + c) / ln q)| of a table of anchors, mod 2 pi.
+
+    ``angles`` has one row per order's center mu and panel center c (mu
+    varying slowest) and one column per harmonic h.  ln q = -1/(2 k**2)
+    exactly, so each phase is an exact Fraction, reduced mod 1 in integers
+    (its denominator is a power of 2).  2 pi, from mpmath at 80 digits, and
+    the float angles are compared in integers scaled by 2**200.
+    """
+    with mpmath.workdps(80):
+        tau = int(mpmath.floor(2 * mpmath.pi * 2**200))
+    per_lnq = -2 * Fraction(k) ** 2
+    by_center = [per_lnq * Fraction(c) for c in centers]
+    phases = (per_lnq * Fraction(mu) + u for mu in mus for u in by_center)
+    worst = 0
+    for u, row in zip(phases, np.asarray(angles).tolist(), strict=True):
+        for h, angle in zip(harmonics, row, strict=True):
+            ref = (h * u.numerator % u.denominator) * tau // u.denominator
+            num, den = angle.as_integer_ratio()
+            diff = ((num << 200) // den - ref) % tau
+            worst = max(worst, min(diff, tau - diff))
+    return worst / 2**200
 
 
 def mp_spherical_jn(l, x):

@@ -81,15 +81,24 @@ def test_bad_order_anywhere_is_refused_before_any_anchor(block_form, bad, monkey
     assert anchors == []
 
 
-def test_block_memory_stays_flat():
-    # one unbounded block of this 11-component density would hold ~40 kB
-    # per order; blocks under _BLOCK_ELEMENTS keep the working set fixed,
-    # and results consumed as they come hold no more than one block
+def streamed_peak(orders):
     tracemalloc.start()
     try:
-        for _ in qd._integrate_orders(WEIER, range(4096)):
+        for _ in qd._integrate_orders(WEIER, range(orders)):
             pass
-        _, peak = tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * 2**20
+
+
+def test_block_memory_stays_flat(monkeypatch):
+    # one unbounded block of this 11-component density would hold ~40 kB
+    # per order; blocks under _BLOCK_ELEMENTS keep the working set fixed,
+    # and results consumed as they come hold no more than one block.  With
+    # blocks of 2 orders (the default makes 20), 8x the orders may add only
+    # their own list of ints, and the peak stays within the default's 2 MB
+    # bound scaled to the block.
+    monkeypatch.setattr(qd, "_BLOCK_ELEMENTS", 2**12)
+    few, many = streamed_peak(16), streamed_peak(128)
+    assert many <= few + 2**13
+    assert many <= 2 * 2**20 * 2**12 // 2**15

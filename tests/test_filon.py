@@ -77,7 +77,7 @@ def test_panels_match_complex_erf_closed_form(harmonic, k, n, kind):
     mu, _, c0, c1 = qd._center_residuals(k, n)
     for got in (coarse, fine):
         centers, half = qd._panel_grid(T, got.shape[0])
-        phase0 = qd._phase_anchors(k, mu, [h for h, _ in components], centers)
+        phase0 = qd._phase_anchors(k, mu, [h for h, _ in components], [(centers, half)])
         for col, (h, kd) in enumerate(components):
             a = qd._omega_s(k, h) * half
             ref = np.array([
@@ -131,6 +131,24 @@ def test_weight_rounding_term_covers_the_high_harmonic_sine():
         r = vanishing_integral(w, n, h)
         assert r.rel_quad_error >= weight_error[0]
         assert abs(r.value_over_scale()) <= weight_error[0]
+
+
+ANGLE_TOL = 2.0**-50
+
+
+@pytest.mark.parametrize("k", [0.31, 1.0, 2.9])
+def test_anchors_match_exact_phases(k):
+    # A window of over 2**12 panels a pass, at orders and harmonics where a
+    # rounded ln q drifts by up to ~1e-9 rad; every anchor must be within
+    # about an ulp of 2 pi of the exact phase.
+    T = 1600.0 / k
+    grids = [qd._panel_grid(T, p) for p in qd._pass_counts(qd._smooth_panel_count(T, k))]
+    assert grids[0][0].size >= 2**12
+    mus = [qd._center_residuals(k, n)[0] for n in (-3, 2**20)]
+    harmonics = [3**33, 2**53]
+    got = qd._phase_anchors(k, np.array(mus), harmonics, grids)
+    centers = np.concatenate([c for c, _ in grids]).tolist()
+    assert oracles.exact_anchor_error(k, mus, centers, harmonics, got) <= ANGLE_TOL
 
 
 @pytest.mark.parametrize("call", [
