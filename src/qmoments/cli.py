@@ -360,9 +360,13 @@ def run_hankel(ns) -> list:
 
 def _gram_cases(tag, w, degree, spec, tolerance, cross_mods) -> list:
     count = 2 * degree + 1
-    basis = orthogonal_basis_from_moments(
-        MomentSequence.closed_form(w, count), degree
-    )
+    try:
+        seq = MomentSequence.closed_form(w, count)
+    except BudgetExceededError as exc:
+        names = ["self"] + [f"cross/{name}" for name, _ in cross_mods]
+        return [_refused_case(f"{tag}/{name}", {"k": w.k, "degree": degree},
+                              tolerance, exc) for name in names]
+    basis = orthogonal_basis_from_moments(seq, degree)
     cases = [
         Case(f"{tag}/self", {"k": w.k, "degree": degree},
              basis.gram_residual, 0.0, tolerance, None,

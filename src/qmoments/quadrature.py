@@ -11,10 +11,11 @@ stationary point ``mu = (n + 1) / (2 k**2)`` turns this into
     exp(sigma) * integral of exp(-k**2 s**2 + c0 + c1 s) * Phi(mu + s) ds,
 
 with ``sigma = (n + 1)**2 / (4 k**2)``.  The factor ``exp(sigma)`` is
-carried symbolically (see :class:`~qmoments.logscale.LogScaled`); the
-centering residuals c0 and c1 are computed in double-double arithmetic
-and are O(eps * sigma), so the kernel integrand is O(1) and accurate to
-a few eps regardless of how large the moments grow.
+carried symbolically (see :class:`~qmoments.logscale.LogScaled`).  As k
+is a binary fraction, mu, sigma and the centering residuals c0 and c1
+are exact rationals, formed in integers and rounded once each; c0 and c1
+are O(eps * sigma), so the kernel integrand is O(1) and accurate to a
+few eps however large the moments grow.
 
 Design points
 -------------
@@ -53,10 +54,11 @@ Design points
   the *constructed, truncated* object and form ``error_estimate``; the
   series component measures distance to the untruncated limit object and
   is reported alongside, not mixed in.
-* Every integral is planned up front.  A harmonic above 2**53, a k with
-  no finite double-double ln q (see :func:`_plan_components`) or a plan
-  above the node budget raises :class:`BudgetExceededError` rather than
-  silently under-resolving.
+* Every integral is planned up front, and the plan builds the panel
+  grids of both passes.  A harmonic above 2**53, a k with no finite
+  double-double ln q, an order whose eps * sigma reaches 1 (see
+  :func:`_plan_components`) or a plan above the node budget raises
+  :class:`BudgetExceededError` rather than silently under-resolving.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from typing import Union
 
 import numpy as np
 
-from . import _dd
+from ._dd import phase_angle_split
 from .logscale import LogScaled
 from .measures import (
     _MAX_HARMONIC,
@@ -117,14 +119,17 @@ def _filon_matrix() -> np.ndarray:
 
 
 _FILON_MATRIX = _filon_matrix()
-_TWO_L_PLUS_1 = 2.0 * np.arange(_NODES_PER_PANEL) + 1.0
+_L = np.arange(float(_NODES_PER_PANEL))
+_TWO_L_PLUS_1 = 2.0 * _L + 1.0
+# 1 / (2l+1)!!: at small a, a**l / (2l+1)!! is within a relative a**2 / 6 of j_l(a)
+_LEADING = 1.0 / np.cumprod(_TWO_L_PLUS_1)
 # 2l + 1 as floats up to the deepest start of _spherical_jn's recurrence
 _ODD = [2.0 * l + 1.0 for l in range(_NODES_PER_PANEL + 36)]
 
 
 class BudgetExceededError(Exception):
-    """Raised when an integral cannot be planned: it would exceed the node
-    budget, or a harmonic is too high to anchor and integrate."""
+    """Raised, with the reason named, when an integral or a closed form
+    cannot be computed in float64 within the node budget."""
 
 
 @dataclass(frozen=True)
@@ -194,56 +199,23 @@ class QuadratureResult:
         return self.value.sign * math.exp(self.value.ln_abs - self.ln_scale)
 
 
-def _truncation_width(spec: QuadratureSpec, k: float) -> float:
-    if spec.truncation is not None:
-        return spec.truncation
-    return math.sqrt(math.log(10.0 / spec.rel_tol)) / k
-
-
-def _smooth_panel_count(T: float, k: float) -> int:
-    # Panel width 0.75/k keeps the Gaussian spectrally converged under
-    # 32-node Gauss-Legendre.
-    return max(8, math.ceil(2.0 * T * k / 0.75))
-
-
-def _pass_counts(p_coarse: int) -> tuple:
-    return p_coarse, math.ceil(1.5 * p_coarse)
-
-
-def _sigma_dd(k: float, n: int):
-    """(n+1)**2 / (4 k**2) in dd; returns (sigma_double, sh, sl)."""
-    np1 = float(n + 1)
-    nh, nl = _dd.two_prod(np1, np1)
-    kh, kl = _dd.two_prod(k, k)
-    dh, dl = _dd.dd_mul_d(kh, kl, 4.0)
-    sh, sl = _dd.dd_div(nh, nl, dh, dl)
-    return sh + sl, sh, sl
-
-
 def _center_residuals(k: float, n: int):
-    """mu and the tiny c0, c1 with (n+1)t - k^2 t^2 = sigma + c0 + c1 s - k^2 s^2.
+    """mu, sigma and the tiny c0, c1 with (n+1)t - k^2 t^2 = sigma + c0 + c1 s - k^2 s^2.
 
-    mu is the double rounding of (n+1)/(2 k**2); c0 and c1 absorb, at
-    double-double accuracy, everything the roundings of mu and sigma left
-    behind: c1 = (n+1) - 2 k^2 mu and c0 = (n+1) mu - k^2 mu^2 - sigma.
+    k is a binary fraction, so mu = (n+1)/(2 k**2), sigma = (n+1)**2/(4
+    k**2) and the residuals of their roundings, c1 = (n+1) - 2 k^2 mu and
+    c0 = (n+1) mu - k^2 mu^2 - sigma, are exact rationals, each rounded
+    once by int / int.  That raises OverflowError if mu or sigma has no
+    float64 value.
     """
-    np1 = float(n + 1)
-    kh, kl = _dd.two_prod(k, k)
-    th, tl = _dd.dd_mul_d(kh, kl, 2.0)
-    mh, ml = _dd.dd_div(np1, 0.0, th, tl)
-    mu = mh + ml
-    sigma, _, _ = _sigma_dd(k, n)
-    # c1 = (n+1) - 2k^2 * mu  (dd)
-    ph, pl = _dd.dd_mul_d(th, tl, mu)
-    c1h, c1l = _dd.dd_add(np1, 0.0, -ph, -pl)
-    c1 = c1h + c1l
-    # c0 = (n+1)*mu - k^2 mu^2 - sigma  (dd)
-    ah, al = _dd.two_prod(np1, mu)
-    qh, ql = _dd.two_prod(mu, mu)
-    bh, bl = _dd.dd_mul(kh, kl, qh, ql)
-    ch, cl = _dd.dd_add(ah, al, -bh, -bl)
-    c0h, c0l = _dd.dd_add(ch, cl, -sigma, 0.0)
-    c0 = c0h + c0l
+    kn, kd = k.as_integer_ratio()
+    m, a, b = n + 1, kn * kn, kd * kd  # k**2 = a / b
+    sigma = m * m * b / (4 * a)
+    mu = m * b / (2 * a)
+    mn, md = mu.as_integer_ratio()
+    sn, sd = sigma.as_integer_ratio()
+    c1 = (m * md * b - 2 * a * mn) / (md * b)
+    c0 = ((m * md * b - a * mn) * mn * sd - sn * md * md * b) / (md * md * b * sd)
     return mu, sigma, c0, c1
 
 
@@ -300,7 +272,7 @@ def _phase_anchors(k: float, mu, harmonics, grids):
     i = np.array([j for p in counts for j in range(p)], dtype=float)[:, None]
     head, rest = i * split[:, :1] + split[:, 1:]
     head -= np.floor(head)
-    return _dd.phase_angle_split(head, rest).reshape(-1, len(harmonics))
+    return phase_angle_split(head, rest).reshape(-1, len(harmonics))
 
 
 def _omega_s(k: float, harmonic: int) -> float:
@@ -313,17 +285,19 @@ def _omega_s(k: float, harmonic: int) -> float:
 def _spherical_jn(a: float) -> np.ndarray:
     """j_0(a), ..., j_31(a), the spherical Bessel functions of the first kind.
 
-    Forward recurrence is stable while l < |a|, so it serves |a| >= 32.
-    Below that, Miller's backward recurrence runs down from l = 36 +
-    floor|a|, far enough past both 31 and |a| that the start's error has
-    decayed below 1e-20 by l = 31, and is normalised by sum_l (2l+1)
-    j_l(a)**2 = 1 (DLMF 10.60); the sign comes from the larger of the
-    closed forms j_0, j_1.  Negative a uses j_l(-a) = (-1)**l j_l(a).
+    Below |a| = 2**-30, where the recurrences would overflow, the leading
+    terms a**l / (2l+1)!! serve.  Forward recurrence is stable while l <
+    |a|, so it serves |a| >= 32.  Below that, Miller's backward recurrence
+    runs down from l = 36 + floor|a|, far enough past both 31 and |a| that
+    the start's error has decayed below 1e-20 by l = 31, and is normalised
+    by sum_l (2l+1) j_l(a)**2 = 1 (DLMF 10.60); the sign comes from the
+    larger of the closed forms j_0, j_1.  Negative a uses j_l(-a) =
+    (-1)**l j_l(a).
     """
     x = abs(a)
     top = _NODES_PER_PANEL - 1
-    if x == 0.0:
-        return np.eye(1, top + 1)[0]
+    if x < 2.0**-30:
+        return _LEADING * a**_L
     s, c = math.sin(x), math.cos(x)
     j0, j1 = s / x, (s / x - c) / x
     if x >= _NODES_PER_PANEL:
@@ -355,7 +329,7 @@ def _spherical_jn(a: float) -> np.ndarray:
     return j
 
 
-def _panel_integrals(k, orders, components, T):
+def _panel_integrals(k, orders, components, grids):
     """Per-panel integrals of unit-amplitude components, both passes at once,
     for a block of moment orders.
 
@@ -375,7 +349,6 @@ def _panel_integrals(k, orders, components, T):
     (measured against mpmath: up to 1.74 eps w_i S(a)).  S is 1 at a = 0,
     peaks near 28 at a ~ 31 and decays like 650 / a.
     """
-    grids = [_panel_grid(T, p) for p in _pass_counts(_smooth_panel_count(T, k))]
     s = np.concatenate([c[:, None] + half * _GL_NODES for c, half in grids])
     residuals = [_center_residuals(k, n) for n in orders]
     res = np.array(residuals)[:, :, None, None]  # mu, sigma, c0, c1 per order
@@ -398,32 +371,53 @@ def _panel_integrals(k, orders, components, T):
     return [sigma for _, sigma, _, _ in residuals], out[0], out[1], weight_error
 
 
-def _each_order(k, orders, components, T, result):
+def _each_order(k, orders, components, grids, result):
     """``result(sigma, coarse, fine, weight_error)`` per order, from blocks of
     orders whose panel rows x (nodes + components) stay within
     ``_BLOCK_ELEMENTS``."""
-    rows = sum(_pass_counts(_smooth_panel_count(T, k)))
+    rows = sum(c.size for c, _ in grids)
     size = max(1, _BLOCK_ELEMENTS // (rows * (_NODES_PER_PANEL + len(components))))
     for i in range(0, len(orders), size):
-        *parts, weight_error = _panel_integrals(k, orders[i : i + size], components, T)
+        *parts, weight_error = _panel_integrals(k, orders[i : i + size], components, grids)
         for sigma, coarse, fine in zip(*parts):
             yield result(sigma, coarse, fine, weight_error)
 
 
-def _plan_components(k, T, modes, spec: QuadratureSpec) -> None:
-    """Raise BudgetExceededError unless the base and every mode can be integrated.
+def _plan_components(k, orders, modes, spec: QuadratureSpec):
+    """Check the orders and plan the base and every mode; returns the
+    checked orders, the truncation T and the coarse and fine passes'
+    ``_panel_grid`` pairs, or raises BudgetExceededError.
 
     Phases fold exactly at any harmonic, but above 2**53 ``_omega_s``
-    rounds it.  A non-finite ``a = omega * half`` cannot be integrated at
-    all, nor can a k whose ln q is not a finite double-double
-    (:func:`~qmoments.measures._lnq_dd`): the centering's double-double
-    division by 2 k**2 fails there as well.
+    rounds it, and a non-finite ``a = omega * half`` cannot be integrated
+    at all.  A k whose window has no finite panel count, or whose ln q is
+    not a finite double-double (:func:`~qmoments.measures._lnq_dd`), is
+    refused, so that the quadrature admits the same k as the pointwise
+    evaluators.  Where eps * sigma >= 1 the granularity of the log-scaled
+    value alone exceeds the value, so the order with the largest |n + 1|
+    must have (n+1)**2 < 2**54 k**2, compared in integers.
     """
-    p = _smooth_panel_count(T, k)
-    half = T / p  # the coarse pass; the fine pass has smaller panels
+    orders = [_check_int(n, "moment order", -_MAX_ORDER, _MAX_ORDER) for n in orders]
+    T = spec.truncation or math.sqrt(math.log(10.0 / spec.rel_tol)) / k
+    if not math.isfinite(T * k):
+        raise BudgetExceededError(f"cannot integrate at k={k!r}: window T={T} has no panel count")
+    # panels of width <= 0.75/k keep the Gaussian spectrally converged under
+    # 32-node Gauss-Legendre; the fine pass has 1.5x as many
+    p = max(8, math.ceil(2.0 * T * k / 0.75))
+    counts = (p, math.ceil(1.5 * p))
+    components = 1 + len(modes)
+    per_component = _NODES_PER_PANEL * sum(counts)
+    total = components * per_component
+    if total > spec.node_budget:
+        raise BudgetExceededError(
+            f"integral needs {total} nodes for {components} components "
+            f"({per_component} each), budget is {spec.node_budget}. "
+            "Raise node_budget or use fewer modes."
+        )
+    grids = [_panel_grid(T, count) for count in counts]
     for _, harmonic, _ in modes:
         if harmonic > _MAX_HARMONIC or not math.isfinite(
-            _omega_s(k, harmonic) * half
+            _omega_s(k, harmonic) * grids[0][1]
         ):
             raise BudgetExceededError(
                 f"harmonic {harmonic} at k={k} cannot be integrated: quadrature "
@@ -433,15 +427,14 @@ def _plan_components(k, T, modes, spec: QuadratureSpec) -> None:
         _lnq_dd(k)
     except ValueError as exc:
         raise BudgetExceededError(f"cannot integrate at {exc}") from None
-    components = 1 + len(modes)
-    per_component = _NODES_PER_PANEL * sum(_pass_counts(p))
-    total = components * per_component
-    if total > spec.node_budget:
+    n = max(orders, key=lambda n: abs(n + 1), default=-1)
+    kn, kd = k.as_integer_ratio()
+    if ((n + 1) * kd) ** 2 >= kn * kn << 54:
         raise BudgetExceededError(
-            f"integral needs {total} nodes for {components} components "
-            f"({per_component} each), budget is {spec.node_budget}. "
-            "Raise node_budget or use fewer modes."
+            f"cannot integrate order n={n} at k={k!r}: eps * (n+1)**2/(4 k**2), "
+            "the granularity of the log-scaled value, is >= 1"
         )
+    return orders, T, grids
 
 
 _EPS = 2.220446049250313e-16
@@ -497,13 +490,11 @@ def _integrate_orders(obj, orders, spec: QuadratureSpec = QuadratureSpec()):
     """:func:`integrate_moment` at each of ``orders``.  The orders are
     checked and the integral planned now; the results are then yielded in
     order as each block of orders is evaluated."""
-    orders = [_check_int(n, "moment order", -_MAX_ORDER, _MAX_ORDER) for n in orders]
     weight, lam, modes = _moment_parts(obj)
     k = weight.k
     if lam == 0.0:
         modes = []
-    T = _truncation_width(spec, k)
-    _plan_components(k, T, modes, spec)
+    orders, T, grids = _plan_components(k, orders, modes, spec)
 
     amps = np.array([1.0] + [lam * a for a, _, _ in modes])
     abs_amps = np.abs(amps)
@@ -534,7 +525,7 @@ def _integrate_orders(obj, orders, spec: QuadratureSpec = QuadratureSpec()):
         )
 
     components = [(0, "cosine")] + [(h, kind) for _, h, kind in modes]
-    return _each_order(k, orders, components, T, result)
+    return _each_order(k, orders, components, grids, result)
 
 
 def vanishing_integral(
@@ -560,11 +551,9 @@ def _vanishing_orders(w, orders, j, spec: QuadratureSpec = QuadratureSpec()):
     as :func:`_integrate_orders` is."""
     if not isinstance(w, LogNormalWeight):
         raise ValueError(f"expected a LogNormalWeight, got {w!r}")
-    orders = [_check_int(n, "moment order", -_MAX_ORDER, _MAX_ORDER) for n in orders]
     j = _check_int(j, "sine harmonic j", 1)
     k = w.k
-    T = _truncation_width(spec, k)
-    _plan_components(k, T, [(1.0, j, "sine")], spec)
+    orders, T, grids = _plan_components(k, orders, [(1.0, j, "sine")], spec)
 
     inv_scale = k / math.sqrt(math.pi)
 
@@ -585,7 +574,7 @@ def _vanishing_orders(w, orders, j, spec: QuadratureSpec = QuadratureSpec()):
             truncation=T,
         )
 
-    return _each_order(k, orders, [(j, "sine")], T, result)
+    return _each_order(k, orders, [(j, "sine")], grids, result)
 
 
 def base_moment_closed_form(w: LogNormalWeight, n: int) -> LogScaled:
@@ -593,8 +582,13 @@ def base_moment_closed_form(w: LogNormalWeight, n: int) -> LogScaled:
     if not isinstance(w, LogNormalWeight):
         raise ValueError(f"expected a LogNormalWeight, got {w!r}")
     n = _check_int(n, "moment order", -_MAX_ORDER, _MAX_ORDER)
-    sigma, _, _ = _sigma_dd(w.k, n)
-    return LogScaled.exp(sigma)
+    try:
+        return LogScaled.exp(_center_residuals(w.k, n)[1])
+    except OverflowError:
+        raise BudgetExceededError(
+            f"no float64 exponent for order n={n} at k={w.k!r}: (n+1)**2/(4 k**2) "
+            "or its center (n+1)/(2 k**2) overflows"
+        ) from None
 
 
 def modulator_moment_factor(m: Modulator) -> float:

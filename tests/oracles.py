@@ -270,11 +270,11 @@ def gl_component(k, n, harmonic, kind, rel_tol=1e-12):
     from qmoments import _kernels
     from qmoments import quadrature as qd
 
-    T = qd._truncation_width(qd.QuadratureSpec(rel_tol=rel_tol), k)
+    _, T, ((smooth, _), _) = qd._plan_components(k, [n], [], qd.QuadratureSpec(rel_tol=rel_tol))
     mu, _, c0, c1 = qd._center_residuals(k, n)
     omega = qd._omega_s(k, harmonic)
     periods = abs(omega) * T / math.pi
-    p = max(qd._smooth_panel_count(T, k), math.ceil(periods / 3.0))
+    p = max(smooth.size, math.ceil(periods / 3.0))
     centers, half = qd._panel_grid(T, math.ceil(1.5 * p))
     phase0 = qd._phase_anchors(k, mu, [harmonic], [(centers, half)])[:, 0]
     nodes, weights = np.polynomial.legendre.leggauss(32)

@@ -209,6 +209,27 @@ class TestExitCodes:
             assert "k=1e-160" in case["inputs"]["reason"]
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, ids, reason", [
+        (["moments", "--k", "1", "--n", "10000000000"],
+         ["moments/k=1.0/n=10000000000"], "n=10000000000 at k=1.0"),
+        (["hankel", "--k", "1e-200", "--dim", "2"], ["hankel/k=1e-200"], "n=0 at k=1e-200"),
+        (["gram", "--k", "1e-200"], ["gram/k=1e-200/self"], "n=0 at k=1e-200"),
+        (["gram", "--modulator", '{"k": 1e-200, "lambda": 0.5, '
+          '"modes": [{"a": 1.0, "b": 1, "kind": "sine"}]}'],
+         ["gram/k=1e-200/cross/modulated", "gram/k=1e-200/self"], "n=0 at k=1e-200"),
+    ], ids=["moments-sigma", "hankel-closed-form", "gram-closed-form", "gram-cross"])
+    def test_float64_exponent_limits_are_named_failed_cases(self, args, ids, reason,
+                                                            tmp_path, capsys):
+        # eps * sigma >= 1 in the quadrature, and a closed-form sigma with
+        # no float64 value: numerical refusals, not configuration errors
+        code, rep = run_json(tmp_path, args)
+        assert code == 1
+        assert sorted(c["id"] for c in rep["cases"]) == ids
+        for case in rep["cases"]:
+            assert case["pass"] is False and case["value"] is None
+            assert reason in case["inputs"]["reason"]
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_overflowing_noise_floor_is_a_named_failed_case(self, tmp_path, capsys):
         # log_slope_bound overflows for (a b)**N = 900**200; the floor it
         # sets is inf, and vals - inf would clip to 0 and pass

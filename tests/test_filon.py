@@ -31,7 +31,10 @@ from qmoments.quadrature import (
 import oracles
 
 EPS = 2.220446049250313e-16
-J_POINTS = [0.0, 1e-8, 0.3, math.pi, 20.0, 31.5, 32.0, 1e3, 2.7e5, 1e12]
+# the tiny points straddle 2**-30, below which the leading terms serve, and
+# 1e-110, below which Miller's recurrence would overflow
+J_POINTS = [0.0, 1e-8, 0.3, math.pi, 20.0, 31.5, 32.0, 1e3, 2.7e5, 1e12,
+            1e-300, 1e-200, 1e-120, 3e-50, 1e-30, 2.0**-31, 2.0**-30, 1e-9]
 LS = np.arange(32)
 
 
@@ -61,8 +64,8 @@ KINDS = pytest.mark.parametrize("kind", ["sine", "cosine"], ids=["sine-1", "cosi
 
 
 def panels(k, n, components):
-    T = qd._truncation_width(QuadratureSpec(), k)
-    _, (coarse,), (fine,), weight_error = qd._panel_integrals(k, [n], components, T)
+    _, T, grids = qd._plan_components(k, [n], [], QuadratureSpec())
+    _, (coarse,), (fine,), weight_error = qd._panel_integrals(k, [n], components, grids)
     return T, (coarse, fine, weight_error)
 
 
@@ -141,8 +144,7 @@ def test_anchors_match_exact_phases(k):
     # A window of over 2**12 panels a pass, at orders and harmonics where a
     # rounded ln q drifts by up to ~1e-9 rad; every anchor must be within
     # about an ulp of 2 pi of the exact phase.
-    T = 1600.0 / k
-    grids = [qd._panel_grid(T, p) for p in qd._pass_counts(qd._smooth_panel_count(T, k))]
+    _, _, grids = qd._plan_components(k, [0], [], QuadratureSpec(truncation=1600.0 / k))
     assert grids[0][0].size >= 2**12
     mus = [qd._center_residuals(k, n)[0] for n in (-3, 2**20)]
     harmonics = [3**33, 2**53]

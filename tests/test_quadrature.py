@@ -9,9 +9,12 @@ node accounting, budget refusal) is exercised here as well.
 
 import math
 import re
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from test_measures import trig_modulator, weier_modulator
 
@@ -372,3 +375,91 @@ def test_moment_factor_drops_terms_past_the_float_range():
     # at representable arguments the closed form is unchanged
     m = trig_modulator(0.5, 0.1, [(1.0, 1, "cosine")])
     assert modulator_moment_factor(m) == 1.0 + 0.1 * math.exp(-4.0 * (math.pi * 0.5) ** 2)
+
+
+# Every k LogNormalWeight admits (any positive finite float), and a
+# log-uniform draw over the range the planner does not refuse by k
+ANY_K = st.one_of(
+    st.floats(min_value=5e-324, max_value=sys.float_info.max),
+    st.floats(min_value=-151.0, max_value=150.0).map(lambda e: 10.0**e),
+)
+ANY_N = st.one_of(st.integers(-60, 60), st.integers(-(2**48), 2**48))
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.floats(min_value=6e-151, max_value=8e149), n=ANY_N)
+@example(k=6.1e-151, n=0)
+@example(k=6.1e-151, n=-3)
+@example(k=7.9e149, n=2**48)
+@example(k=7.9e149, n=-(2**48))
+@example(k=0.45, n=2**48 - 1)
+@example(k=1e-100, n=-(2**48))
+def test_centering_rounds_each_exact_rational_once(k, n):
+    k2, m = Fraction(k) ** 2, n + 1
+    mu_exact, sigma_exact = m / (2 * k2), m * m / (4 * k2)
+    assume(max(abs(mu_exact), sigma_exact) < 2**1023)
+    mu, sigma, c0, c1 = qd._center_residuals(k, n)
+    assert mu == float(mu_exact)
+    assert sigma == float(sigma_exact)
+    assert c1 == float(m - 2 * k2 * Fraction(mu))
+    assert c0 == float(m * Fraction(mu) - k2 * Fraction(mu) ** 2 - Fraction(sigma))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=150, deadline=None)
+@given(k=ANY_K, n=ANY_N, j=st.one_of(st.integers(1, 50), st.integers(1, 2**53)))
+@example(k=1.0, n=10**10, j=1)
+@example(k=1.0, n=10**11, j=1)
+@example(k=0.01, n=10**12, j=1)
+@example(k=1e-90, n=0, j=1)
+@example(k=1e-120, n=-1, j=1)
+@example(k=1e-310, n=0, j=1)
+@example(k=1e308, n=0, j=1)
+def test_admitted_k_and_n_end_in_their_bound_or_a_named_refusal(k, n, j):
+    w = LogNormalWeight(k)
+    for call, exact in ((lambda: integrate_moment(w, n), 1.0),
+                        (lambda: vanishing_integral(w, n, j), 0.0)):
+        try:
+            r = call()
+        except BudgetExceededError:
+            continue
+        assert abs(r.value_over_scale() - exact) <= r.error_estimate
+
+
+@pytest.mark.parametrize("k, n", [(1.0, 10**10), (1.0, 10**11), (0.01, 10**12), (1e-90, 0)])
+def test_sigma_granularity_is_a_named_refusal(k, n):
+    # eps * sigma >= 1: the value's log-scaled granularity alone would
+    # exceed the value, so no number is reported
+    w = LogNormalWeight(k)
+    for call in (lambda: integrate_moment(w, n), lambda: vanishing_integral(w, n, 1)):
+        with pytest.raises(BudgetExceededError, match=re.escape(f"n={n} at k={k!r}")):
+            call()
+
+
+def test_sigma_refusal_is_exact_at_its_bound():
+    # eps * sigma >= 1 exactly when (n+1)**2 >= 2**54 k**2; at k = 1 the
+    # first refused |n + 1| is 2**27, and it refuses its whole block
+    w = LogNormalWeight(1.0)
+    r = integrate_moment(w, 2**27 - 2)
+    assert abs(r.value_over_scale() - 1.0) <= r.error_estimate < 1.0
+    for n in (2**27 - 1, -(2**27) - 1):
+        with pytest.raises(BudgetExceededError, match=f"n={n} "):
+            integrate_moment(w, n)
+    with pytest.raises(BudgetExceededError, match=f"n={2**27 - 1} "):
+        qd._integrate_orders(w, [0, 2**27 - 1, 5])
+
+
+@pytest.mark.parametrize("k", [3e-155, 1e-160, 1e-200, 5e-324])
+def test_closed_form_without_a_float64_exponent_is_a_named_refusal(k):
+    w = LogNormalWeight(k)
+    with pytest.raises(BudgetExceededError, match=re.escape(f"n=0 at k={k!r}")):
+        base_moment_closed_form(w, 0)
+    assert base_moment_closed_form(w, -1) == LogScaled.exp(0.0)
+
+
+def test_tiny_k_integrates_where_sigma_is_zero():
+    # sigma = 0 at n = -1, so nothing is refused at k = 1e-120; the
+    # oscillation per panel, a ~ 5e-120, is below where Miller's
+    # recurrence overflows
+    r = vanishing_integral(LogNormalWeight(1e-120), -1, 1)
+    assert abs(r.value_over_scale()) <= r.error_estimate < 1e-12
