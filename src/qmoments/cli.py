@@ -32,9 +32,9 @@ Non-finite numbers are rendered as null (NaN) or "inf"/"-inf" strings
 so the output is always strict JSON.
 
 Exit status: 0 when every case passes, 1 when any case fails, 2 for
-configuration errors (unknown flags, unparseable modulator JSON, bad
-ranges).  A node budget exceeded while sweeping is not a configuration
-error: the case is reported as failed with the reason attached.
+configuration errors only (unknown flags, unparseable modulator JSON, bad
+ranges, size bounds).  A numerical refusal (``BudgetExceededError``) is not
+one: each case its family would have emitted fails with the reason attached.
 """
 
 import argparse
@@ -112,10 +112,24 @@ class Case:
         }
 
 
-def _refused_case(case_id, inputs, tolerance, reason) -> Case:
-    failed = dict(inputs)
-    failed["reason"] = str(reason)
-    return Case(case_id, failed, None, None, tolerance, None, False)
+def _cases_or_refusals(heads, tolerance, build) -> list:
+    """The cases ``build()`` makes for one family or, if float64 refuses,
+    one failed case per (id, inputs) head, with the reason attached."""
+    try:
+        return build()
+    except BudgetExceededError as exc:
+        return [Case(cid, dict(inputs, reason=str(exc)), None, None,
+                     tolerance, None, False) for cid, inputs in heads]
+
+
+def _held_cases(heads, results, reference, tolerance) -> list:
+    """One case per head: a result's value_over_scale() held to reference."""
+    cases = []
+    for (cid, inputs), r in zip(heads, results):
+        v = r.value_over_scale()
+        cases.append(Case(cid, inputs, v, reference, tolerance,
+                          r.error_estimate, abs(v - reference) <= tolerance))
+    return cases
 
 
 def _sanitize(obj):
@@ -200,21 +214,11 @@ def _vanish_cases(ks, orders, js, spec, tolerance) -> list:
     cases = []
     for k in ks:
         w = LogNormalWeight(k)
-        by_j = {j: _orders_or_refusal(_vanishing_orders, w, orders, j, spec)
-                for j in js}
-        for i, n in enumerate(orders):
-            for j in js:
-                cid = f"vanish/k={k}/n={n}/j={j}"
-                inputs = {"k": k, "n": n, "j": j}
-                r = by_j[j][i]
-                if isinstance(r, BudgetExceededError):
-                    cases.append(_refused_case(cid, inputs, tolerance, r))
-                    continue
-                v = r.value_over_scale()
-                cases.append(
-                    Case(cid, inputs, v, 0.0, tolerance, r.error_estimate,
-                         abs(v) <= tolerance)
-                )
+        for j in js:
+            heads = [(f"vanish/k={k}/n={n}/j={j}", {"k": k, "n": n, "j": j})
+                     for n in orders]
+            cases += _cases_or_refusals(heads, tolerance, lambda: _held_cases(
+                heads, _vanishing_orders(w, orders, j, spec), 0.0, tolerance))
     return cases
 
 
@@ -223,32 +227,11 @@ def run_vanish(ns) -> list:
     return _vanish_cases(ks, ns.n, ns.j, _spec(ns), ns.tolerance)
 
 
-def _orders_or_refusal(block_form, obj, orders, *args) -> list:
-    """One result per order from a block form, or its refusal per order."""
-    try:
-        return list(block_form(obj, orders, *args))
-    except BudgetExceededError as exc:
-        return [exc] * len(orders)
-
-
 def _moment_cases(tag, obj, m, orders, spec, tolerance, extra=None) -> list:
     factor = modulator_moment_factor(m) if m is not None else 1.0
-    cases = []
-    results = _orders_or_refusal(_integrate_orders, obj, orders, spec)
-    for n, r in zip(orders, results):
-        cid = f"{tag}/n={n}"
-        inputs = {"n": n}
-        if extra:
-            inputs.update(extra)
-        if isinstance(r, BudgetExceededError):
-            cases.append(_refused_case(cid, inputs, tolerance, r))
-            continue
-        v = r.value_over_scale()
-        cases.append(
-            Case(cid, inputs, v, factor, tolerance, r.error_estimate,
-                 abs(v - factor) <= tolerance)
-        )
-    return cases
+    heads = [(f"{tag}/n={n}", {"n": n, **(extra or {})}) for n in orders]
+    return _cases_or_refusals(heads, tolerance, lambda: _held_cases(
+        heads, _integrate_orders(obj, orders, spec), factor, tolerance))
 
 
 def run_moments(ns) -> list:
@@ -280,114 +263,125 @@ def run_ratio(ns) -> list:
     return _ratio_cases(f"ratio/k={w.k}", m, ns.n, _spec(ns), ns.tolerance)
 
 
-def _pearson_case(tag, obj, xs, tolerance) -> Case:
-    if isinstance(obj, PerturbedDensity):
-        w, m = obj.weight, obj.modulator
-    else:
-        w, m = obj, None
-    res = q_pearson_residual(obj, xs)
-    scale = eval_weight(w, xs) * np.maximum(1.0, math.sqrt(w.q) * xs)
-    if m is not None:
-        scale = scale * (1.0 + abs(m.lam) * m.sup_bound)
-    worst = float(np.max(np.abs(res) / scale))
-    inputs = {"k": w.k, "points": int(xs.size),
-              "x_min": float(xs.min()), "x_max": float(xs.max())}
-    return Case(tag, inputs, worst, 0.0, tolerance, None, worst <= tolerance)
+def _sample_inputs(k, xs) -> dict:
+    return {"k": k, "points": int(xs.size),
+            "x_min": float(xs.min()), "x_max": float(xs.max())}
+
+
+def _pearson_case(tag, obj, xs, tolerance) -> list:
+    w = obj.weight if isinstance(obj, PerturbedDensity) else obj
+    inputs = _sample_inputs(w.k, xs)
+
+    def build():
+        res = q_pearson_residual(obj, xs)
+        scale = eval_weight(w, xs) * np.maximum(1.0, math.sqrt(w.q) * xs)
+        if obj is not w:
+            m = obj.modulator
+            scale = scale * (1.0 + abs(m.lam) * m.sup_bound)
+        worst = float(np.max(np.abs(res) / scale))
+        return [Case(tag, inputs, worst, 0.0, tolerance, None,
+                     worst <= tolerance)]
+
+    return _cases_or_refusals([(tag, inputs)], tolerance, build)
 
 
 def run_pearson(ns) -> list:
     w, m, obj = _object_under_test(ns)
     xs = _sample_points(ns)
-    return [_pearson_case(f"pearson/k={w.k}", obj, xs, ns.tolerance)]
+    return _pearson_case(f"pearson/k={w.k}", obj, xs, ns.tolerance)
 
 
-def _qderiv_case(tag, m, xs, tolerance) -> Case:
+def _qderiv_case(tag, m, xs, tolerance) -> list:
     # Forming q*x in float64 perturbs ln x by ~1.25 eps; no double
     # precision evaluation can beat the resulting phase noise, so that
     # floor is subtracted before the residual is judged.
-    inputs = {"k": m.weight.k, "points": int(xs.size),
-              "x_min": float(xs.min()), "x_max": float(xs.max())}
-    with np.errstate(over="ignore"):
-        floor = (1.25 * np.finfo(float).eps * m.log_slope_bound
-                 / ((1.0 - m.weight.q) * xs))
-    if not np.all(np.isfinite(floor)):  # vals - inf would clip to 0 and pass
-        return _refused_case(tag, inputs, tolerance, "phase-noise floor is "
-                             f"not finite: log_slope_bound {m.log_slope_bound}")
-    vals = np.abs(q_derivative(m, xs, m.weight.q))
-    g = eval_modulator(m, xs)
-    norm = 1.0 + np.abs(g) / xs
-    worst = float(np.max(np.maximum(vals - floor, 0.0) / norm))
-    inputs["raw_worst"] = float(np.max(vals / norm))
-    return Case(tag, inputs, worst, 0.0, tolerance, None, worst <= tolerance)
+    k, q = m.weight.k, m.weight.q
+    inputs = _sample_inputs(k, xs)
+
+    def build():
+        # the floor holds only for normal q and q*x, and 1 - q must not be 0
+        if not (q * min(1.0, xs.min()) >= np.finfo(float).tiny and q < 1.0):
+            raise BudgetExceededError(f"k={k!r}: q = {q!r} has no float64 q-step"
+                                      ": q and q*x must be normal, q < 1")
+        with np.errstate(over="ignore"):
+            floor = (1.25 * np.finfo(float).eps * m.log_slope_bound
+                     / ((1.0 - q) * xs))
+        if not np.all(np.isfinite(floor)):  # vals - inf would clip to 0
+            raise BudgetExceededError(
+                f"k={k!r}: phase-noise floor is not finite: "
+                f"log_slope_bound {m.log_slope_bound}"
+            )
+        vals = np.abs(q_derivative(m, xs, q))
+        norm = 1.0 + np.abs(eval_modulator(m, xs)) / xs
+        worst = float(np.max(np.maximum(vals - floor, 0.0) / norm))
+        raw = dict(inputs, raw_worst=float(np.max(vals / norm)))
+        return [Case(tag, raw, worst, 0.0, tolerance, None, worst <= tolerance)]
+
+    return _cases_or_refusals([(tag, inputs)], tolerance, build)
 
 
 def run_qderiv(ns) -> list:
     w, m, _ = _object_under_test(ns)
     if m is None:
         raise ConfigError("qderiv needs --modulator")
-    return [_qderiv_case(f"qderiv/k={w.k}", m, _sample_points(ns),
-                         ns.tolerance)]
+    return _qderiv_case(f"qderiv/k={w.k}", m, _sample_points(ns),
+                        ns.tolerance)
 
 
-def _hankel_cases(tag, seq, dim) -> list:
-    rep = hankel_check(seq, dim)
-    shared = {"dim": rep.dim, "condition": rep.condition,
-              "shifted_condition": rep.shifted_condition}
-    return [
-        Case(f"{tag}/dim={rep.dim}", shared, rep.min_eigenvalue, 0.0, 0.0,
-             rep.moment_error, rep.positive_definite),
-        Case(f"{tag}/dim={rep.dim}/shifted", shared,
-             rep.shifted_min_eigenvalue, 0.0, 0.0, rep.moment_error,
-             rep.shifted_positive_definite),
-    ]
+def _hankel_cases(tag, obj, dim, spec) -> list:
+    """Hankel cases of a bare weight's closed-form or a density's quadrature moments."""
+    def build():
+        if isinstance(obj, LogNormalWeight):
+            seq = MomentSequence.closed_form(obj, 2 * dim)
+        else:
+            seq = MomentSequence.from_quadrature(obj, 2 * dim, spec)
+        rep = hankel_check(seq, dim)
+        shared = {"dim": rep.dim, "condition": rep.condition,
+                  "shifted_condition": rep.shifted_condition}
+        return [
+            Case(f"{tag}/dim={rep.dim}", shared, rep.min_eigenvalue, 0.0,
+                 0.0, rep.moment_error, rep.positive_definite),
+            Case(f"{tag}/dim={rep.dim}/shifted", shared,
+                 rep.shifted_min_eigenvalue, 0.0, 0.0, rep.moment_error,
+                 rep.shifted_positive_definite),
+        ]
+
+    return _cases_or_refusals([(tag, {"dim": dim})], 0.0, build)
 
 
 def run_hankel(ns) -> list:
     w, m, obj = _object_under_test(ns)
     if not 1 <= ns.dim <= _MAX_DIM:
         raise ConfigError(f"--dim must be in [1, {_MAX_DIM}]")
-    count = 2 * ns.dim
-    tag = f"hankel/k={w.k}"
-    try:
-        if m is None:
-            seq = MomentSequence.closed_form(w, count)
-        else:
-            seq = MomentSequence.from_quadrature(obj, count, _spec(ns))
-    except BudgetExceededError as exc:
-        return [_refused_case(tag, {"dim": ns.dim}, 0.0, exc)]
-    return _hankel_cases(tag, seq, ns.dim)
+    return _hankel_cases(f"hankel/k={w.k}", obj, ns.dim, _spec(ns))
 
 
 def _gram_cases(tag, w, degree, spec, tolerance, cross_mods) -> list:
     count = 2 * degree + 1
-    try:
-        seq = MomentSequence.closed_form(w, count)
-    except BudgetExceededError as exc:
-        names = ["self"] + [f"cross/{name}" for name, _ in cross_mods]
-        return [_refused_case(f"{tag}/{name}", {"k": w.k, "degree": degree},
-                              tolerance, exc) for name in names]
-    basis = orthogonal_basis_from_moments(seq, degree)
-    cases = [
-        Case(f"{tag}/self", {"k": w.k, "degree": degree},
-             basis.gram_residual, 0.0, tolerance, None,
-             basis.gram_residual <= tolerance)
+    inputs = {"k": w.k, "degree": degree}
+    heads = [(f"{tag}/self", inputs)] + [
+        (f"{tag}/cross/{name}", {**inputs, "lambda": m.lam})
+        for name, m in cross_mods
     ]
-    for name, m in cross_mods:
-        cid = f"{tag}/cross/{name}"
-        inputs = {"k": w.k, "degree": degree, "lambda": m.lam}
-        try:
-            seq = MomentSequence.from_quadrature(
-                PerturbedDensity.of(m), count, spec
-            )
-        except BudgetExceededError as exc:
-            cases.append(_refused_case(cid, inputs, tolerance, exc))
-            continue
+
+    def cross_case(head, m, basis):
+        seq = MomentSequence.from_quadrature(PerturbedDensity.of(m), count, spec)
         gap = cross_orthogonality_check(basis, seq)
-        cases.append(
-            Case(cid, inputs, gap, 0.0, tolerance, seq.max_error,
-                 gap <= tolerance)
+        return [Case(*head, gap, 0.0, tolerance, seq.max_error,
+                     gap <= tolerance)]
+
+    def build():
+        basis = orthogonal_basis_from_moments(
+            MomentSequence.closed_form(w, count), degree
         )
-    return cases
+        r = basis.gram_residual
+        cases = [Case(*heads[0], r, 0.0, tolerance, None, r <= tolerance)]
+        for head, (_, m) in zip(heads[1:], cross_mods):
+            cases += _cases_or_refusals(
+                [head], tolerance, lambda: cross_case(head, m, basis))
+        return cases
+
+    return _cases_or_refusals(heads, tolerance, build)
 
 
 def run_gram(ns) -> list:
@@ -468,28 +462,21 @@ def run_all(ns) -> list:
     rng = np.random.default_rng(seed)
     xs = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 100))
     for k in (0.5, 1.0, 2.0):
-        cases.append(_pearson_case(f"pearson/weight/k={k}",
-                                   LogNormalWeight(k), xs, 1e-13))
-    cases.append(_pearson_case("pearson/density/weier",
-                               PerturbedDensity.of(mods["weier"]), xs,
-                               1e-13))
+        cases += _pearson_case(f"pearson/weight/k={k}", LogNormalWeight(k),
+                               xs, 1e-13)
+    cases += _pearson_case("pearson/density/weier",
+                           PerturbedDensity.of(mods["weier"]), xs, 1e-13)
 
     # The q-derivative annihilates every constructed modulator.
     for name, m in sorted(mods.items()):
-        cases.append(_qderiv_case(f"qderiv/{name}", m, xs, 1e-12))
+        cases += _qderiv_case(f"qderiv/{name}", m, xs, 1e-12)
 
     # Hankel positive definiteness, closed form and quadrature fed.
     for k in (0.5, 1.0, 2.0):
-        seq = MomentSequence.closed_form(LogNormalWeight(k), 12)
-        cases += _hankel_cases(f"hankel/closed/k={k}", seq, 6)
-    try:
-        seq = MomentSequence.from_quadrature(
-            PerturbedDensity.of(mods["weier"]), 12, spec
-        )
-        cases += _hankel_cases("hankel/quadrature/weier", seq, 6)
-    except BudgetExceededError as exc:
-        cases.append(_refused_case("hankel/quadrature/weier", {"dim": 6},
-                                  0.0, exc))
+        cases += _hankel_cases(f"hankel/closed/k={k}", LogNormalWeight(k), 6,
+                               spec)
+    cases += _hankel_cases("hankel/quadrature/weier",
+                           PerturbedDensity.of(mods["weier"]), 6, spec)
 
     # Orthogonality transfer through degree 6 at k = 1.
     cases += _gram_cases(
@@ -525,9 +512,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, tolerance=None):
-        p.add_argument("--rel-tol", type=float, default=1e-12,
-                       help="quadrature relative tolerance")
+    def common(p, tolerance=None, integrates=True):
+        if integrates:
+            p.add_argument("--rel-tol", type=float, default=1e-12,
+                           help="quadrature relative tolerance")
         if tolerance is not None:
             p.add_argument("--tolerance", type=float, default=tolerance,
                            help=f"pass threshold (default {tolerance:g})")
@@ -570,7 +558,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-max", type=float, default=1e3)
     p.add_argument("--points", type=int, default=100)
     p.add_argument("--seed", type=int, default=_DEFAULT_SEED)
-    common(p, 1e-13)
+    common(p, 1e-13, integrates=False)
     p.set_defaults(run=run_pearson)
 
     p = sub.add_parser("qderiv", help="q-derivative annihilation residuals")
@@ -579,7 +567,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-max", type=float, default=1e3)
     p.add_argument("--points", type=int, default=100)
     p.add_argument("--seed", type=int, default=_DEFAULT_SEED)
-    common(p, 1e-12)
+    common(p, 1e-12, integrates=False)
     p.set_defaults(run=run_qderiv)
 
     p = sub.add_parser("hankel", help="Hankel positive definiteness")
@@ -603,7 +591,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=64)
     p.add_argument("--probes", type=int, default=16)
     p.add_argument("--seed", type=int, default=_DEFAULT_SEED)
-    common(p, 0.05)
+    common(p, 0.05, integrates=False)
     p.set_defaults(run=run_holder)
 
     p = sub.add_parser("all", help="the full verification battery")
@@ -687,10 +675,7 @@ def main(argv=None) -> int:
         cases = ns.run(ns)
         report = build_report(ns, cases)
         _emit(report, ns.format, ns.out)
-    except (ConfigError, ValueError) as exc:
-        print(f"qmoments: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"qmoments: {exc}", file=sys.stderr)
         return 2
     return 0 if report["summary"]["failed"] == 0 else 1

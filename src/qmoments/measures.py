@@ -23,7 +23,9 @@ Pointwise identities downstream are checked to 1e-12 of local scale, so
 harmonic folds exactly, at any size; the residual error of the
 q-periodicity identity is a few 1e-16 even for a 30-term Weierstrass sum
 at k = 2.  A plain float64 log would lose up to
-``2 * k**2 * |ln x| * eps`` of phase and could not meet that budget.
+``2 * k**2 * |ln x| * eps`` of phase and could not meet that budget.  A
+point with ``2 * k**2 * |ln x| >= 2**104`` has no known phase bit and is
+refused with :class:`BudgetExceededError`.
 """
 
 from __future__ import annotations
@@ -54,6 +56,14 @@ _INV_SQRT_PI = 0.5641895835477563  # 1 / sqrt(pi)
 _MAX_HARMONIC = 2**53
 
 _KINDS = ("sine", "cosine")
+# |u| = 2 k**2 |ln x| where the ~2**-104 rounding of u = ln x / ln q passes a turn
+_MAX_PHASE = 2.0**104
+
+
+class BudgetExceededError(ValueError):
+    """Refusal, with the reason named, of an admitted input for which
+    float64 cannot give an answer: node budget, granularity, ln q, phase,
+    moment exponent or basis.  The CLI reports it as a failed case."""
 
 
 def _check_positive_finite(value: float, name: str) -> float:
@@ -325,8 +335,8 @@ class PerturbedDensity:
 def _weight_values(w: LogNormalWeight, arr):
     # -(k*t)**2, not -k**2 * t**2: k*k overflows for k above ~1.3e154 and
     # then gives inf * 0 = NaN at x = 1; (k*t)**2 overflowing is exp(-inf) = 0
-    kt = w.k * np.log(arr)
     with np.errstate(over="ignore"):
+        kt = w.k * np.log(arr)
         return (w.k * _INV_SQRT_PI) * np.exp(-(kt * kt))
 
 
@@ -350,15 +360,20 @@ def _lnq_dd(k: float):
         dh, dl = _dd.dd_mul_d(kh, kl, 2.0)
         lh, ll = _dd.dd_div(-1.0, 0.0, dh, dl)
     if not (math.isfinite(lh) and math.isfinite(ll) and lh != 0.0):
-        raise ValueError(
+        raise BudgetExceededError(
             f"k={k!r}: ln q = -1/(2 k**2) is not finite and nonzero in float64"
         )
     return lh, ll
 
 
 def _base_phase(k: float, th, tl):
-    """The phase w = frac(t / ln q) of a dd log t = th + tl."""
+    """The phase w = frac(t / ln q) of a dd log t = th + tl; refuses, by k
+    and point, a t with 2 k**2 |t| >= 2**104, whose phase has no bit left."""
     lh, ll = _lnq_dd(k)
+    far = np.abs(th) >= _MAX_PHASE * abs(lh)
+    if np.any(far):
+        raise BudgetExceededError(f"k={k!r}: at ln x = {float(th[far][0])!r} the "
+                                  "phase 2 k**2 |ln x| is >= 2**104 and has no bit left")
     return _dd.phase_from_dd(*_dd.dd_div(th, tl, lh, ll))
 
 

@@ -24,7 +24,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .logscale import LogScaled
-from .measures import LogNormalWeight, PerturbedDensity, _check_int
+from .measures import BudgetExceededError, LogNormalWeight, PerturbedDensity, _check_int
 from .quadrature import QuadratureSpec, _integrate_orders, base_moment_closed_form
 
 __all__ = [
@@ -260,7 +260,8 @@ def orthogonal_basis_from_moments(
     """Monic orthogonal polynomials of degrees 0..degree for the sequence.
 
     Needs 2*degree + 1 moments.  Capped at MAX_BASIS_DEGREE; see the
-    module docstring for why higher degrees are refused.
+    module docstring for why higher degrees are refused.  Overflowing monic
+    coefficients and a Gram matrix not positive definite raise BudgetExceededError.
     """
     if not isinstance(seq, MomentSequence):
         raise ValueError(f"expected a MomentSequence, got {seq!r}")
@@ -275,16 +276,16 @@ def orthogonal_basis_from_moments(
     lnm = _scaled_log_moments(seq, need, ln_m0, ln_rho)
     half = 0.5 * lnm[0 : 2 * degree + 1 : 2]
     if half[-1] > _MAX_HALF_LOG:
-        raise ValueError(
-            "monic coefficients would overflow float64 at this degree; "
-            "the weight is too broad (k too small)"
+        raise BudgetExceededError(
+            f"k={seq.k!r}: monic coefficients would overflow float64 at degree "
+            f"{degree}; the weight is too broad (k too small)"
         )
     gram = _normalized_gram(lnm, half)
     try:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
-        raise ValueError(
-            "normalized moment Gram matrix is not positive definite"
+        raise BudgetExceededError(
+            f"k={seq.k!r}: normalized moment Gram matrix is not positive definite"
         ) from None
     size = degree + 1
     inv = np.linalg.solve(chol, np.eye(size))

@@ -73,6 +73,7 @@ from ._dd import phase_angle_split
 from .logscale import LogScaled
 from .measures import (
     _MAX_HARMONIC,
+    BudgetExceededError,
     LogNormalWeight,
     Modulator,
     PerturbedDensity,
@@ -125,11 +126,6 @@ _TWO_L_PLUS_1 = 2.0 * _L + 1.0
 _LEADING = 1.0 / np.cumprod(_TWO_L_PLUS_1)
 # 2l + 1 as floats up to the deepest start of _spherical_jn's recurrence
 _ODD = [2.0 * l + 1.0 for l in range(_NODES_PER_PANEL + 36)]
-
-
-class BudgetExceededError(Exception):
-    """Raised, with the reason named, when an integral or a closed form
-    cannot be computed in float64 within the node budget."""
 
 
 @dataclass(frozen=True)
@@ -423,10 +419,7 @@ def _plan_components(k, orders, modes, spec: QuadratureSpec):
                 f"harmonic {harmonic} at k={k} cannot be integrated: quadrature "
                 "needs harmonic <= 2**53 and a finite oscillation per panel"
             )
-    try:
-        _lnq_dd(k)
-    except ValueError as exc:
-        raise BudgetExceededError(f"cannot integrate at {exc}") from None
+    _lnq_dd(k)
     n = max(orders, key=lambda n: abs(n + 1), default=-1)
     kn, kd = k.as_integer_ratio()
     if ((n + 1) * kd) ** 2 >= kn * kn << 54:

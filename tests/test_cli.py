@@ -10,6 +10,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import pytest
 
@@ -24,6 +25,10 @@ SINE3_MOD = (
     '{"a": 0.3, "b": 2, "kind": "sine"}, '
     '{"a": 0.2, "b": 5, "kind": "sine"}]}'
 )
+
+
+def sine1_mod(k):
+    return f'{{"k": {k}, "lambda": 0.5, "modes": [{{"a": 1.0, "b": 1, "kind": "sine"}}]}}'
 
 
 def run_json(tmp_path, args, name="report.json"):
@@ -229,6 +234,42 @@ class TestExitCodes:
             assert case["pass"] is False and case["value"] is None
             assert reason in case["inputs"]["reason"]
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, ids, k", [
+        (["gram", "--k", "1e-30"], ["gram/k=1e-30/self"], "1e-30"),
+        (["gram", "--k", "100"], ["gram/k=100.0/self"], "100.0"),
+        (["pearson", "--k", "1e-160"], ["pearson/k=1e-160"], "1e-160"),
+        (["pearson", "--k", "1e160"], ["pearson/k=1e+160"], "1e+160"),
+        (["qderiv", "--modulator", sine1_mod(0.025)], ["qderiv/k=0.025"], "0.025"),
+        (["qderiv", "--modulator", sine1_mod(0.026)], ["qderiv/k=0.026"], "0.026"),
+        (["qderiv", "--modulator", sine1_mod(1e8)], ["qderiv/k=100000000.0"],
+         "100000000.0"),
+    ], ids=["gram-broad", "gram-narrow", "pearson-tiny", "pearson-huge",
+            "qderiv-q-zero", "qderiv-qx-zero", "qderiv-q-one"])
+    def test_numerical_limits_are_named_failed_cases(self, args, ids, k, tmp_path, capsys):
+        # float64 has no answer here (no basis, ln q or q-step): a named
+        # refusal per case, exit 1, never a configuration error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, rep = run_json(tmp_path, args)
+        assert code == 1
+        assert [c["id"] for c in rep["cases"]] == ids
+        for case in rep["cases"]:
+            assert case["pass"] is False and case["value"] is None
+            assert f"k={k}" in case["inputs"]["reason"]
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+
+    @pytest.mark.parametrize("args", [
+        ["pearson", "--k", "1"],
+        ["qderiv", "--modulator", SINE3_MOD],
+        ["holder", "--a", "0.5", "--b", "3"],
+    ], ids=["pearson", "qderiv", "holder"])
+    def test_rel_tol_only_where_quadrature_runs(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--rel-tol", "1e-10"])
+        assert exc.value.code == 2
+        assert "--rel-tol" in capsys.readouterr().err
 
     def test_overflowing_noise_floor_is_a_named_failed_case(self, tmp_path, capsys):
         # log_slope_bound overflows for (a b)**N = 900**200; the floor it

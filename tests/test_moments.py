@@ -16,7 +16,7 @@ from test_measures import trig_modulator, weier_modulator
 
 import oracles
 from qmoments.logscale import LogScaled
-from qmoments.measures import LogNormalWeight, PerturbedDensity
+from qmoments.measures import BudgetExceededError, LogNormalWeight, PerturbedDensity
 from qmoments.moments import (
     MAX_BASIS_DEGREE,
     MomentSequence,
@@ -178,12 +178,12 @@ class TestOrthogonalBasis:
 
     def test_non_positive_definite_moments_refused(self):
         seq = MomentSequence.from_values([1.0, 2.0, 1.0])
-        with pytest.raises(ValueError, match="positive definite"):
+        with pytest.raises(BudgetExceededError, match="positive definite"):
             orthogonal_basis_from_moments(seq, 1)
 
     def test_broad_weight_overflow_refused(self):
         seq = MomentSequence.closed_form(LogNormalWeight(0.15), 13)
-        with pytest.raises(ValueError, match="overflow"):
+        with pytest.raises(BudgetExceededError, match="overflow"):
             orthogonal_basis_from_moments(seq, 6)
 
 

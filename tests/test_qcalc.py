@@ -1,12 +1,14 @@
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qmoments.measures import (
+    BudgetExceededError,
     LogNormalWeight,
     Modulator,
     PerturbedDensity,
@@ -227,10 +229,47 @@ class TestExtremeK:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for call in calls:
-                with pytest.raises(ValueError, match=re.escape(f"k={k!r}")):
+                with pytest.raises(BudgetExceededError, match=re.escape(f"k={k!r}")):
                     call()
             # the weight needs no ln q: f(1) = k / sqrt(pi) even where k**2
             # overflows, and f is finite everywhere
             f = eval_weight(w, self.XS)
         assert f[2] == pytest.approx(k / math.sqrt(math.pi), rel=1e-15)
         assert np.all(np.isfinite(f)) and np.all(f >= 0.0)
+
+    @pytest.mark.parametrize("k, x", [(1e16, 0.5), (1e16, 1.3), (1e100, 1e-300), (1e100, 2.0)])
+    def test_phase_without_a_fractional_bit_is_refused_by_name(self, k, x):
+        # 2 k**2 |ln x| >= 2**104: the ~2**-104 relative rounding of the
+        # base phase exceeds a whole turn, so no value is reported
+        _, m, d = self.objects(k)
+        for call in (lambda: eval_modulator(m, x), lambda: eval_density(d, x),
+                     lambda: q_pearson_residual(d, x)):
+            with pytest.raises(BudgetExceededError, match=re.escape(f"k={k!r}: at ln x = ")):
+                call()
+        # at x = 1 the phase is exactly 0 at any k whose ln q is finite
+        assert eval_modulator(m, 1.0) == 0.5
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=st.one_of(st.floats(min_value=5e-324, max_value=sys.float_info.max),
+                    st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e)),
+        xs=st.lists(st.one_of(
+            st.floats(min_value=5e-324, max_value=sys.float_info.max),
+            st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e),
+        ), min_size=1, max_size=6),
+    )
+    @example(k=1e16, xs=[0.5, 1.0, 1.3])
+    @example(k=3.2e148, xs=[math.exp(690.0)])  # the dd_div split overflowed
+    @example(k=2e306, xs=[1e-102, 1.0, 1e152])  # k * ln x overflows to inf
+    @example(k=0.025, xs=[5e-324, sys.float_info.max])
+    def test_admitted_k_and_x_end_finite_or_in_a_named_refusal(self, k, xs):
+        w, m, d = self.objects(k)
+        xs = np.array(xs)
+        for call, obj in ((eval_weight, w), (eval_modulator, m), (eval_density, d),
+                          (q_pearson_residual, w), (q_pearson_residual, d)):
+            try:
+                out = call(obj, xs)
+            except BudgetExceededError:
+                continue
+            assert np.all(np.isfinite(out))
