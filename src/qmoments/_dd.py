@@ -9,18 +9,20 @@ a pair ``(hi, lo)`` of float64 arrays with ``hi + lo`` accurate to about
 1e-32 relative.  Only the handful of operations needed here are provided.
 
 ``dd_log`` is table driven (Tang 1990): the mantissa m is recentred into
-[sqrt(1/2), sqrt(2)), rounded to c = i/128, and ln m = ln c + 2 atanh z
-with z = (m - c)/(m + c), |z| <= 2.8e-3.  The 91 values ln c are built at
+[sqrt(1/2), sqrt(2)), rounded to c = i/1024, and ln m = ln c + 2 atanh z
+with z = (m - c)/(m + c), |z| <= 3.5e-4.  The 725 values ln c are built at
 import by the same atanh routine run to 24 double-double terms; at run
-time the series stops at z**10, with only its first three terms in
-double-double.  The error budget is derived in its docstring: about
-1e-31 * max(1, |ln x|) over all positive finite doubles.
+time only the 2z and 2z**3/3 terms need double-double, and z**5..z**9 are
+summed in float64.  The result is within about 5e-32 * max(1, |ln x|) over
+all positive finite doubles, and within ~2**-103 relative near x = 1.
 
 A phase w = frac(u) leaves double-double once, as the 128-bit fraction
 (w1 * 2**64 + w0) / 2**128 in two uint64 words, kept at least 1-d since
 numpy's scalar uint64 products warn on wrap.  Folding by an integer
 harmonic is multiplication mod 2**128, which rounds nothing (Payne and
 Hanek, "Radian reduction for trigonometric functions", SIGNUM 1983).
+``phase_sin`` reads sin(2 pi w) off the top word through a 256-entry table
+and short polynomials, within ~2e-16 absolute.
 
 All functions broadcast over numpy arrays and also accept Python floats.
 References for the algorithms: Dekker (1971), Knuth TAOCP vol 2, Tang,
@@ -54,15 +56,18 @@ def two_sum(a, b):
     return s, e
 
 
+def _split(a):
+    """Veltkamp split a = hi + lo, hi with 26 significant bits, lo with 27."""
+    t = _SPLITTER * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
 def two_prod(a, b):
     """Error-free product: returns (p, e) with p + e == a * b exactly."""
     p = a * b
-    ta = _SPLITTER * a
-    ahi = ta - (ta - a)
-    alo = a - ahi
-    tb = _SPLITTER * b
-    bhi = tb - (tb - b)
-    blo = b - bhi
+    ahi, alo = _split(a)
+    bhi, blo = _split(b)
     e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
     return p, e
 
@@ -120,22 +125,18 @@ for _n in range(24):
 del _n, _d, _chi, _p, _e, _clo
 
 
-def _log_ratio(a, b, terms, float_terms=0):
+def _log_ratio(a, b, terms):
     """ln(a / b) = 2 atanh z, z = (a - b) / (a + b), as a double-double pair.
 
     ``a - b`` must be exact (Sterbenz: b/2 <= a <= 2b); ``a + b`` is carried
     exactly by ``two_sum``.  The series ``sum_n z**(2n) / (2n+1)`` runs by
-    Horner on z**2 with its first ``terms`` coefficients in double-double;
-    the next ``float_terms`` are summed in plain float64 beforehand.
+    Horner on z**2 with its first ``terms`` coefficients in double-double.
     """
     num = a - b
     den_h, den_l = two_sum(a, b)
     zh, zl = dd_div(num, 0.0, den_h, den_l)
     z2h, z2l = dd_sq(zh, zl)
-    t = 0.0
-    for ch, _ in reversed(_ATANH_COEFF[terms : terms + float_terms]):
-        t = t * z2h + ch
-    sh, sl = t * z2h, 0.0
+    sh, sl = 0.0, 0.0
     for n in reversed(range(terms)):
         ch, cl = _ATANH_COEFF[n]
         sh, sl = dd_add(sh, sl, ch, 0.0)
@@ -146,14 +147,12 @@ def _log_ratio(a, b, terms, float_terms=0):
     return 2.0 * lh, 2.0 * ll
 
 
-# ln c for the table points c = i / 128 that a mantissa recentred into
-# [sqrt(1/2), sqrt(2)) rounds to, i = 91..181.  Here |z| <= 0.172, so 24
+# ln c for the table points c = i / 1024 that a mantissa recentred into
+# [sqrt(1/2), sqrt(2)) rounds to, i = 724..1448.  Here |z| <= 0.172, so 24
 # double-double terms leave a truncation error below 1e-36.
-_TABLE_SCALE = 128.0
-_TABLE_FIRST = int(np.rint(_SQRT_HALF * _TABLE_SCALE))
-_TABLE_C = np.arange(
-    _TABLE_FIRST, int(np.rint(2.0 * _SQRT_HALF * _TABLE_SCALE)) + 1
-) / _TABLE_SCALE
+_TABLE_SCALE = 1024.0
+_TABLE_FIRST = int(np.rint(_SQRT_HALF * _TABLE_SCALE))  # and rint(1024 sqrt 2) = 1448
+_TABLE_C = np.arange(_TABLE_FIRST, 2 * _TABLE_FIRST + 1) / _TABLE_SCALE
 _LN_TABLE_HI, _LN_TABLE_LO = _log_ratio(_TABLE_C, 1.0, 24)
 
 
@@ -161,36 +160,60 @@ def dd_log(x):
     """Natural log of positive x as a double-double pair.
 
     With x = m * 2**e, m in [sqrt(1/2), sqrt(2)) (exact by frexp and one
-    doubling), c = rint(128 m) / 128 and z = (m - c) / (m + c),
+    doubling), c = rint(1024 m) / 1024 and z = (m - c) / (m + c),
 
         ln x = e ln 2 + ln c + 2 atanh z,
 
-    with ln c read from a table built at import.  |z| <= 2.8e-3, so
-    z**2 <= 7.8e-6 and the series stops at z**10: the first dropped term
-    adds under 1e-34.  Only the 1/3 and 1/5 Horner steps need
-    double-double; the z**6..z**10 tail (about 6e-17 of the series) is
-    summed in float64, whose rounding costs about eps * z**6 = 5e-32
-    relative.  z itself carries ~1e-32 relative error from ``dd_div``, the
-    table ~1e-32 absolute, and LN2_HI + LN2_LO is ln 2 to ~1e-33, so the
-    result is within about 1e-31 * max(1, |ln x|) of ln x over the whole
-    positive float64 range, subnormals included.  Input must be positive
-    and finite.
+    with ln c from the table and z a double-double quotient.  2z**3/3 comes
+    from the exact cube of z's 26-bit head, divided by 3 with an exact
+    remainder; z**5..z**9 are float64.  Input must be positive and finite.
     """
     x = np.asarray(x, dtype=np.float64)
     m, e = np.frexp(x)
     # Recenter the mantissa into [sqrt(1/2), sqrt(2)); doubling is exact.
     low = m < _SQRT_HALF
-    m = np.where(low, m + m, m)
     e = (e - low).astype(np.float64)
-
-    i = np.rint(m * _TABLE_SCALE)
-    lh, ll = _log_ratio(m, i / _TABLE_SCALE, 3, 3)
-    idx = i.astype(np.intp) - _TABLE_FIRST
-    lh, ll = dd_add(_LN_TABLE_HI[idx], _LN_TABLE_LO[idx], lh, ll)
-    # ln x = e * ln2 + ln m
-    th, tl = two_prod(e, LN2_HI)
-    tl = tl + e * LN2_LO
-    return dd_add(th, tl, lh, ll)
+    f = (m + m * low) * _TABLE_SCALE - _TABLE_FIRST  # exact: bits to 2**-43
+    del m, low  # here and below: dead arrays go at once, to keep the peak low
+    j = np.rint(f)
+    f -= j  # 1024 (m - c), exact
+    idx = j.astype(np.intp)
+    # z = f / (a + f) with a = 2048 c an integer, and dh + dl = a + f
+    j = 2.0 * (j + _TABLE_FIRST)
+    dh = j + f
+    dl = f - (dh - j)
+    z = f / dh
+    p, pe = two_prod(z, dh)
+    z2 = ((f - p) - pe - z * dl) / dh
+    del j, f, p, pe, dl, dh
+    # zh**3 = g1 + g2 exactly, and g1 = 3 q + rem with rem exact
+    zh, zl = _split(z)
+    sq = zh * zh
+    g1, g2 = _split(sq)
+    g1 *= zh
+    zl += z2  # z + z2 = zh + zl
+    br = g2 * zh + 3.0 * zl * (sq + zh * zl)  # z**3 - g1, to ~2**-79 relative
+    del zh, zl, sq, g2
+    q = g1 / 3.0
+    s = q + q + q
+    rem = (g1 - s) - (q - (s - (q + q)))
+    s = z * z
+    g1 += br
+    g1 *= s * (0.4 + s * (2.0 / 7.0 + s * (2.0 / 9.0)))  # (2/5) z**5 + ...
+    # 2 atanh z = 2 (z + q) + 2 z2 + (2/3)(rem + br) + ..., the first sum exact
+    lh = z + q
+    ll = 2.0 * ((q - (lh - z)) + z2) + (2.0 / 3.0) * (rem + br) + g1
+    lh *= 2.0
+    del s, z, z2, q, rem, br, g1
+    # ln x = e ln 2 + ln c + 2 atanh z; each sum's first term is the larger
+    th = _LN_TABLE_HI[idx]
+    s = th + lh  # error lh - (s - th): |ln c| >= 9.7e-4 > |lh|, or ln c = 0
+    eh, el = two_prod(e, LN2_HI)
+    h = eh + s
+    lo = ((s - (h - eh)) + (lh - (s - th)) + _LN_TABLE_LO[idx]
+          + ll + el + e * LN2_LO)
+    hi = h + lo
+    return hi, lo - (hi - h)
 
 
 def dd_exp_to_double(xh, xl):
@@ -204,17 +227,18 @@ def dd_exp_to_double(xh, xl):
     return np.exp(xh) * (1.0 + xl)
 
 
-_M32, _S32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+_M32, _S32, _S63 = np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(63)
 
 
 def _float_phase(x):
     """frac(x) of a float64 x as a phase, truncated below 2**-128."""
-    x = np.atleast_1d(x)
-    f = np.abs(x - np.trunc(x)) * 2.0**64  # |frac(x)| * 2**64, exact
+    f = np.atleast_1d(x - np.trunc(x))  # exact, with the sign of x
+    neg = f.view(np.uint64) >> _S63  # 1 where w is 2**128 minus the magnitude
+    f = np.abs(f) * 2.0**64
     t = np.trunc(f)
     w1, w0 = t.astype(np.uint64), ((f - t) * 2.0**64).astype(np.uint64)
-    neg = x < 0.0  # then w is 2**128 minus the magnitude: two's complement
-    return np.where(neg, ~w1 + (w0 == 0), w1), np.where(neg, -w0, w0)
+    w0 = (w0 ^ -neg) + neg  # two's complement of both words where neg
+    return (w1 ^ -neg) + (neg & (w0 == 0)), w0
 
 
 def phase_from_dd(xh, xl):
@@ -235,7 +259,8 @@ def fold_harmonic(w, h):
     ``h`` is a Python int of any size, a uint64 array of harmonics below
     2**64, or a pair ``(h1, h0)`` of uint64 arrays holding the two words of
     h mod 2**128; arrays broadcast against the words.  The high word of the
-    low words' product is built from 32-bit limbs; nothing rounds, so
+    low words' product is built from 32-bit limbs, and a Python int below
+    2**32 skips the products of its zero upper limb; nothing rounds, so
     folding by b twice equals folding by b**2.
     """
     w1, w0 = w
@@ -244,6 +269,10 @@ def fold_harmonic(w, h):
         h1, h = h
     elif not isinstance(h, np.ndarray):
         h = int(h) % 2**128
+        if h >> 32 == 0:  # one limb: a1 h + (a0 h >> 32) < 2**64
+            h = np.uint64(h)
+            hi = ((w0 >> _S32) * h + ((w0 & _M32) * h >> _S32)) >> _S32
+            return hi + w1 * h, w0 * h
         h1 = np.uint64(h >> 64) if h >> 64 else None
         h = np.uint64(h & 0xFFFFFFFFFFFFFFFF)
     a1, a0, c1, c0 = w0 >> _S32, w0 & _M32, h >> _S32, h & _M32
@@ -251,6 +280,34 @@ def fold_harmonic(w, h):
     carry = ((p00 >> _S32) + (p01 & _M32) + (p10 & _M32)) >> _S32
     hi = a1 * c1 + (p01 >> _S32) + (p10 >> _S32) + carry + w1 * h
     return (hi if h1 is None else hi + w0 * h1), w0 * h
+
+
+# sin and cos of 2 pi j / 256 = a + b, a double-double angle, within an ulp
+_TRIG_A, _TRIG_B = two_prod(TWO_PI_HI, np.arange(256) / 256.0)
+_TRIG_B += TWO_PI_LO * np.arange(256) / 256.0
+_SIN_TABLE = np.sin(_TRIG_A) + np.cos(_TRIG_A) * _TRIG_B
+_COS_TABLE = np.cos(_TRIG_A) - np.sin(_TRIG_A) * _TRIG_B
+
+
+def phase_sin(w1):
+    """sin(2*pi*w) of a phase w from its top word w1 alone, within ~2e-16.
+
+    With j the top 8 bits and rho = 2*pi*(w - j/256) < 2*pi/256, it is
+    S_j + S_j (cos rho - 1) + C_j sin rho, by the table and Taylor
+    polynomials of degree 6 and 7 (under 1e-17 left out).  The low word is
+    not read.  Adding a quarter turn, 2**62, to w1 gives cos(2*pi*w).
+    """
+    j = (w1 >> np.uint64(56)).view(np.int64)
+    rho = (w1 & np.uint64(2**56 - 1)).view(np.int64) * (TWO_PI_HI * 2.0**-64)
+    r2 = rho * rho
+    s = _SIN_TABLE.take(j)
+    out = r2 * (-0.5 + r2 * (1.0 / 24.0 - r2 * (1.0 / 720.0)))
+    out *= s
+    rho *= 1.0 + r2 * (-1.0 / 6.0 + r2 * (1.0 / 120.0 - r2 * (1.0 / 5040.0)))
+    rho *= _COS_TABLE.take(j)
+    out += rho
+    out += s
+    return out
 
 
 def phase_angle(w):

@@ -33,8 +33,9 @@ so the output is always strict JSON.
 
 Exit status: 0 when every case passes, 1 when any case fails, 2 for
 configuration errors only (unknown flags, unparseable modulator JSON, bad
-ranges, size bounds).  A numerical refusal (``BudgetExceededError``) is not
-one: each case its family would have emitted fails with the reason attached.
+ranges, size bounds).  A numerical refusal (``BudgetExceededError``, or a
+numpy floating-point warning) is not one: each case its family would have
+emitted fails with the reason attached.
 """
 
 import argparse
@@ -113,11 +114,12 @@ class Case:
 
 
 def _cases_or_refusals(heads, tolerance, build) -> list:
-    """The cases ``build()`` makes for one family or, if float64 refuses,
-    one failed case per (id, inputs) head, with the reason attached."""
+    """The cases ``build()`` makes for one family or, if float64 refuses (a
+    numpy warning too), one failed case per (id, inputs) head, with reason."""
     try:
-        return build()
-    except BudgetExceededError as exc:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return build()
+    except (BudgetExceededError, FloatingPointError) as exc:
         return [Case(cid, dict(inputs, reason=str(exc)), None, None,
                      tolerance, None, False) for cid, inputs in heads]
 
@@ -274,7 +276,11 @@ def _pearson_case(tag, obj, xs, tolerance) -> list:
 
     def build():
         res = q_pearson_residual(obj, xs)
-        scale = eval_weight(w, xs) * np.maximum(1.0, math.sqrt(w.q) * xs)
+        f = eval_weight(w, xs)
+        if f.min() < np.finfo(float).tiny:  # there the residual keeps no digits
+            raise BudgetExceededError(f"k={w.k!r}: the weight underflows float64 "
+                                      f"at x = {float(xs[np.argmin(f)])!r}")
+        scale = f * np.maximum(1.0, math.sqrt(w.q) * xs)
         if obj is not w:
             m = obj.modulator
             scale = scale * (1.0 + abs(m.lam) * m.sup_bound)
@@ -311,8 +317,11 @@ def _qderiv_case(tag, m, xs, tolerance) -> list:
                 f"k={k!r}: phase-noise floor is not finite: "
                 f"log_slope_bound {m.log_slope_bound}"
             )
-        vals = np.abs(q_derivative(m, xs, q))
         norm = 1.0 + np.abs(eval_modulator(m, xs)) / xs
+        if np.min(floor / norm) >= tolerance:  # no point resolves the tolerance
+            raise BudgetExceededError(f"k={k!r}: the phase-noise floor reaches the "
+                                      f"tolerance {tolerance:g} at every point")
+        vals = np.abs(q_derivative(m, xs, q))
         worst = float(np.max(np.maximum(vals - floor, 0.0) / norm))
         raw = dict(inputs, raw_worst=float(np.max(vals / norm)))
         return [Case(tag, raw, worst, 0.0, tolerance, None, worst <= tolerance)]
@@ -393,17 +402,20 @@ def run_gram(ns) -> list:
 
 def _holder_cases(tag, profile, exact, samples, probes, seed,
                   tolerance, extra=None) -> list:
-    est = holder_estimate(profile, samples=samples, probes=probes, seed=seed)
-    inputs = {"samples": samples, "probes": probes, "seed": seed,
-              "terms_used": est.terms_used}
-    if extra:
-        inputs.update(extra)
-    return [
-        Case(f"{tag}/alpha", inputs, est.alpha, exact, tolerance, None,
-             abs(est.alpha - exact) <= tolerance),
-        Case(f"{tag}/fit", inputs, est.r_squared, 1.0, 0.02, None,
-             est.r_squared >= 0.98),
-    ]
+    base = dict(extra or {}, samples=samples, probes=probes, seed=seed)
+
+    def build():
+        est = holder_estimate(profile, samples=samples, probes=probes, seed=seed)
+        inputs = dict(base, terms_used=est.terms_used)
+        return [
+            Case(f"{tag}/alpha", inputs, est.alpha, exact, tolerance, None,
+                 abs(est.alpha - exact) <= tolerance),
+            Case(f"{tag}/fit", inputs, est.r_squared, 1.0, 0.02, None,
+                 est.r_squared >= 0.98),
+        ]
+
+    return _cases_or_refusals([(f"{tag}/alpha", base), (f"{tag}/fit", base)],
+                              tolerance, build)
 
 
 def run_holder(ns) -> list:

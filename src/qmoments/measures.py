@@ -56,7 +56,7 @@ _INV_SQRT_PI = 0.5641895835477563  # 1 / sqrt(pi)
 _MAX_HARMONIC = 2**53
 
 _KINDS = ("sine", "cosine")
-# |u| = 2 k**2 |ln x| where the ~2**-104 rounding of u = ln x / ln q passes a turn
+# |u| = 2 k**2 |ln x| where the ~2**-104 rounding of u = -2 k**2 ln x passes a turn
 _MAX_PHASE = 2.0**104
 
 
@@ -367,21 +367,27 @@ def _lnq_dd(k: float):
 
 
 def _base_phase(k: float, th, tl):
-    """The phase w = frac(t / ln q) of a dd log t = th + tl; refuses, by k
-    and point, a t with 2 k**2 |t| >= 2**104, whose phase has no bit left."""
-    lh, ll = _lnq_dd(k)
-    far = np.abs(th) >= _MAX_PHASE * abs(lh)
+    """The phase frac(t / ln q) of a dd log t = th + tl: u = -2 k**2 t, one
+    double-double product with the exact k**2, as ln q = -1/(2 k**2).  A t
+    with |u| >= 2**104, whose phase has no bit left, is refused by k and point."""
+    _lnq_dd(k)  # refuses a k whose k**2 or ln q is not a finite double
+    kh, kl = _dd.two_prod(k, k)
+    uh, ul = _dd.dd_mul_d(th, tl, -2.0 * kh)
+    far = np.abs(uh) >= _MAX_PHASE
     if np.any(far):
         raise BudgetExceededError(f"k={k!r}: at ln x = {float(th[far][0])!r} the "
                                   "phase 2 k**2 |ln x| is >= 2**104 and has no bit left")
-    return _dd.phase_from_dd(*_dd.dd_div(th, tl, lh, ll))
+    ul += th * (-2.0 * kl)
+    return _dd.phase_from_dd(uh, ul)
 
 
 def _modulator_from_phase(m: Modulator, w):
     acc = np.zeros(w[0].shape)
     for amp, harmonic, kind in m.terms():
-        theta = _dd.phase_angle(_dd.fold_harmonic(w, harmonic))
-        acc += amp * (np.sin(theta) if kind == "sine" else np.cos(theta))
+        top = _dd.fold_harmonic(w, harmonic)[0]
+        if kind == "cosine":
+            top += np.uint64(2**62)  # a quarter turn: cos(2 pi w) = sin(2 pi (w + 1/4))
+        acc += amp * _dd.phase_sin(top)
     return acc
 
 

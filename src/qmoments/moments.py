@@ -150,7 +150,7 @@ def _normalized_hankel(seq: MomentSequence, dim: int, shift: int):
     return out
 
 
-def _pd_stats(mat):
+def _pd_stats(mat, name):
     if mat is None:
         return False, math.nan, math.nan
     try:
@@ -159,6 +159,10 @@ def _pd_stats(mat):
     except np.linalg.LinAlgError:
         pd = False
     eigs = np.linalg.eigvalsh(mat)
+    bound = len(mat) * np.finfo(float).eps * eigs[-1]
+    if abs(eigs[0]) <= bound:
+        raise BudgetExceededError(f"{name}: smallest eigenvalue {eigs[0]:.3g} is "
+                                  f"within the rounding bound {bound:.3g}")
     cond = math.inf if eigs[0] <= 0.0 else float(eigs[-1] / eigs[0])
     return pd, float(eigs[0]), cond
 
@@ -168,7 +172,9 @@ def hankel_check(seq: MomentSequence, dim: Union[int, None] = None) -> HankelRep
 
     Both must be positive definite for the sequence to be the moments of
     a positive measure on the positive half line.  ``dim`` defaults to
-    the largest size the sequence supports (needs 2*dim moments).
+    the largest size the sequence supports (needs 2*dim moments).  A
+    normalized matrix whose smallest eigenvalue lies within the rounding
+    bound dim * eps * (largest) is refused with BudgetExceededError.
     """
     if not isinstance(seq, MomentSequence):
         raise ValueError(f"expected a MomentSequence, got {seq!r}")
@@ -180,8 +186,9 @@ def hankel_check(seq: MomentSequence, dim: Union[int, None] = None) -> HankelRep
         raise ValueError(
             f"dim {dim} needs {2 * dim} moments, sequence has {len(seq)}"
         )
-    pd, eig, cond = _pd_stats(_normalized_hankel(seq, dim, 0))
-    pd1, eig1, cond1 = _pd_stats(_normalized_hankel(seq, dim, 1))
+    name = f"k={seq.k!r}, dim={dim}"
+    pd, eig, cond = _pd_stats(_normalized_hankel(seq, dim, 0), name)
+    pd1, eig1, cond1 = _pd_stats(_normalized_hankel(seq, dim, 1), name + ", shifted")
     used = seq.error_estimates[: 2 * dim]
     return HankelReport(
         dim=dim,

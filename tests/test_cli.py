@@ -12,10 +12,11 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from qmoments import MOMENT_SIGN_NOTE, modulator_from_dict
-from qmoments.cli import main
+from qmoments.cli import _cases_or_refusals, main
 from qmoments.quadrature import modulator_moment_factor
 
 COS_MOD = '{"k": 0.5, "lambda": 0.1, "modes": [{"a": 1.0, "b": 1, "kind": "cosine"}]}'
@@ -244,11 +245,22 @@ class TestExitCodes:
         (["qderiv", "--modulator", sine1_mod(0.026)], ["qderiv/k=0.026"], "0.026"),
         (["qderiv", "--modulator", sine1_mod(1e8)], ["qderiv/k=100000000.0"],
          "100000000.0"),
+        (["pearson", "--k", "10"], ["pearson/k=10.0"], "10.0"),
+        (["pearson", "--k", "20"], ["pearson/k=20.0"], "20.0"),
+        (["pearson", "--k", "50"], ["pearson/k=50.0"], "50.0"),
+        (["pearson", "--k", "100"], ["pearson/k=100.0"], "100.0"),
+        (["qderiv", "--modulator", sine1_mod(1e7)], ["qderiv/k=10000000.0"],
+         "10000000.0"),
+        (["hankel", "--k", "100"], ["hankel/k=100.0"], "100.0"),
     ], ids=["gram-broad", "gram-narrow", "pearson-tiny", "pearson-huge",
-            "qderiv-q-zero", "qderiv-qx-zero", "qderiv-q-one"])
+            "qderiv-q-zero", "qderiv-qx-zero", "qderiv-q-one", "pearson-k10",
+            "pearson-k20", "pearson-k50", "pearson-k100", "qderiv-floor",
+            "hankel-k100"])
     def test_numerical_limits_are_named_failed_cases(self, args, ids, k, tmp_path, capsys):
-        # float64 has no answer here (no basis, ln q or q-step): a named
-        # refusal per case, exit 1, never a configuration error
+        # float64 has no answer here (no basis, ln q or q-step, the weight
+        # underflows, the noise floor passes the tolerance everywhere, or
+        # the Hankel spectrum is inside rounding): a named refusal per case,
+        # exit 1, never a configuration error, a false FAIL or a vacuous PASS
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code, rep = run_json(tmp_path, args)
@@ -295,6 +307,25 @@ class TestExitCodes:
             assert case["pass"] is False and case["value"] is None
             assert "harmonic 1 at k=1e+200 cannot be integrated" in case["inputs"]["reason"]
         assert "Traceback" not in capsys.readouterr().err
+
+
+    def test_numpy_warning_in_a_family_is_a_named_failed_case(self):
+        heads = [("f/a", {"k": 1.0}), ("f/b", {"k": 1.0})]
+        cases = _cases_or_refusals(heads, 0.0, lambda: np.ones(1) / np.zeros(1))
+        assert [(c.id, c.passed, c.value) for c in cases] == [("f/a", False, None),
+                                                               ("f/b", False, None)]
+        assert cases[0].inputs["reason"] == "divide by zero encountered in divide"
+
+    @pytest.mark.parametrize("k", [10, 20, 50, 100])
+    def test_pearson_at_large_k_passes_where_the_weight_is_normal(self, k, tmp_path):
+        # near x = 1 the weight stays normal and the identity is decided
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, rep = run_json(tmp_path, ["pearson", "--k", str(k),
+                                            "--x-min", "0.99", "--x-max", "1.01"])
+        assert code == 0
+        (case,) = rep["cases"]
+        assert case["pass"] is True and case["value"] <= 1e-15
 
 
 class TestDeterminism:

@@ -114,11 +114,12 @@ def assert_log_within_budget(xs):
 
 class TestDDLogTable:
     def test_table_cells_centre_and_edges(self):
-        # Every reachable table point c = i/128 and the cell edges c -+ 1/256,
-        # where |z| is largest; also shifted by powers of two so that the
+        # Every reachable table point c = i/1024 and the cell edges
+        # c -+ 1/2048, where |z| is largest, plus the points and edges of the
+        # replaced 1/128 table; also shifted by powers of two so that the
         # e*ln2 step is exercised with each cell.
-        c = np.arange(91, 182) / 128.0
-        xs = np.concatenate([c, c - 1 / 256, c + 1 / 256])
+        c, old = np.arange(724, 1449) / 1024.0, np.arange(91, 182) / 128.0
+        xs = np.concatenate([c, c - 1 / 2048, c + 1 / 2048, old - 1 / 256, old + 1 / 256])
         assert_log_within_budget(xs)
         assert_log_within_budget(np.ldexp(xs, 700))
         assert_log_within_budget(np.ldexp(xs, -1000))
@@ -374,3 +375,56 @@ class TestFixedPointPhase:
         # the replaced fold rounds h * w at ~1e-32 relative
         d = abs(theta - old)
         assert min(d, 2 * math.pi - d) < 2e-15
+
+
+def random_words(n, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False),
+            rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False))
+
+
+class TestShortFold:
+    @pytest.mark.parametrize("h", [1, 3**10, 2**32 - 1, 2**32, 2**64 - 1, 2**64,
+                                   2**127 + 1])
+    def test_short_fold_equals_general_fold(self, h):
+        # a Python int below 2**32 takes the one-limb path; the pair of
+        # words (h1, h0) always takes the general one
+        w = random_words(2000, h % 1000)
+        pair = (np.uint64(h >> 64 & 2**64 - 1), np.uint64(h & 2**64 - 1))
+        short, general = _dd.fold_harmonic(w, h), _dd.fold_harmonic(w, pair)
+        assert np.array_equal(short[0], general[0])
+        assert np.array_equal(short[1], general[1])
+        for i in range(0, 2000, 97):
+            assert words(short, i) == words(w, i) * h % 2**128
+
+
+def trig_reference(w, cosine):
+    with mpmath.workdps(40):
+        f = mpmath.cos if cosine else mpmath.sin
+        return [f(2 * mpmath.pi * mpmath.mpf(words(w, i)) / 2**128)
+                for i in range(w[0].size)]
+
+
+class TestPhaseSin:
+    def phases(self):
+        # random words, every table edge and the word just below it, 0 and
+        # 1 - 2**-128
+        rw = random_words(5000, 7)
+        edges = [j << 120 for j in range(256)] + [(j << 120) - 1 for j in range(1, 256)]
+        edges += [0, 2**128 - 1]
+        ew = (np.array([v >> 64 for v in edges], dtype=np.uint64),
+              np.array([v & 2**64 - 1 for v in edges], dtype=np.uint64))
+        return (np.concatenate([rw[0], ew[0]]), np.concatenate([rw[1], ew[1]]))
+
+    @pytest.mark.parametrize("cosine", [False, True])
+    def test_no_worse_than_angle_and_numpy_trig(self, cosine):
+        w = self.phases()
+        top = w[0] + np.uint64(2**62) if cosine else w[0]
+        got = _dd.phase_sin(top)
+        theta = _dd.phase_angle(w)
+        old = np.cos(theta) if cosine else np.sin(theta)
+        ref = trig_reference(w, cosine)
+        err = max(abs(mpmath.mpf(float(g)) - r) for g, r in zip(got, ref))
+        old_err = max(abs(mpmath.mpf(float(g)) - r) for g, r in zip(old, ref))
+        assert err <= old_err
+        assert err < 2.5e-16

@@ -1,13 +1,17 @@
 import json
 import math
 import re
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
+from qmoments import _dd, measures
 from qmoments.measures import (
+    BudgetExceededError,
     LogNormalWeight,
     Modulator,
     PerturbedDensity,
@@ -26,6 +30,7 @@ from qmoments.quadrature import (
     integrate_moment,
     vanishing_integral,
 )
+from qmoments.qcalc import q_derivative, q_pearson_residual
 from qmoments.roughness import holder_estimate
 
 EPS = 2.220446049250313e-16
@@ -455,6 +460,57 @@ class TestPerturbedDensity:
         with pytest.raises(ValueError, match="positive and finite"):
             eval_density(d, np.array([1.0, 0.0]))
 
+
+
+class TestBasePhase:
+    """frac(-2 k**2 ln x) from the exact k**2, against mpmath."""
+
+    def check(self, k, xs):
+        w = measures._base_phase(k, *_dd.dd_log(xs))
+        with mpmath.workdps(90):
+            for i, x in enumerate(xs):
+                t = mpmath.log(mpmath.mpf(float(x)))
+                u = -2 * mpmath.mpf(k) ** 2 * t
+                d = abs(mpmath.mpf(int(w[0][i]) << 64 | int(w[1][i])) / 2**128
+                        - (u - mpmath.floor(u)))
+                # dd_log's budget grown by 2 k**2, the product's rounding
+                # and the conversion's truncation
+                bound = 2 * k * k * 1e-31 * max(1, abs(t)) + 2.0**-103 * abs(u) + 2.0**-125
+                assert min(d, 1 - d) <= bound, (k, float(x))
+
+    @pytest.mark.parametrize("k", [1e-3, 0.45, 1.0, 3.0, 1e3])
+    def test_matches_mpmath(self, k):
+        xs = np.array([5e-324, 1e-300, 1e-3, 0.37, 0.5, 1 - 2**-53, 1.0, 1 + 1e-9,
+                       2.0, 777.7, 1e300])
+        self.check(k, xs)
+
+    def test_just_under_the_refusal(self):
+        # |u| = 2 k**2 |ln x| just under 2**104 is kept, just over is refused
+        k = 1e15
+        t = 2.0**104 / (2 * k * k)
+        self.check(k, np.exp([t * (1 - 2**-20), -t * (1 - 2**-20), 2.0**-24 * t]))
+        with pytest.raises(BudgetExceededError, match=re.escape(f"k={k!r}: at ln x = ")):
+            measures._base_phase(k, *_dd.dd_log(np.exp([t * (1 + 2**-20)])))
+
+
+class TestPeakMemory:
+    def test_5000_point_calls_stay_under_the_replaced_kernels_peaks(self):
+        # the double-double series and division peaked at 945, 945 and
+        # 1 024 KB here; more live temporaries cost page faults per call
+        m = weier_modulator(1.0, 0.9, 0.5, 3, 10)
+        d = PerturbedDensity.of(m)
+        xs = np.exp(np.random.default_rng(3).uniform(-6.9, 6.9, 5000))
+        for call, kb in ((lambda: eval_density(d, xs), 945),
+                         (lambda: q_pearson_residual(d, xs), 945),
+                         (lambda: q_derivative(m, xs, m.weight.q), 1024)):
+            call()
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= kb * 1024
 
 
 W1 = LogNormalWeight(1.0)
