@@ -50,6 +50,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
+from ._rng import uniform
 from .measures import (
     LogNormalWeight,
     Modulator,
@@ -207,9 +208,8 @@ def _sample_points(ns) -> np.ndarray:
         raise ConfigError("need 0 < x-min < x-max")
     if not 1 <= ns.points <= _MAX_POINTS:
         raise ConfigError(f"--points must be in [1, {_MAX_POINTS}]")
-    rng = np.random.default_rng(ns.seed)
     lo, hi = math.log(ns.x_min), math.log(ns.x_max)
-    return np.exp(rng.uniform(lo, hi, ns.points))
+    return np.exp(uniform(ns.seed, lo, hi, ns.points))
 
 
 def _vanish_cases(ks, orders, js, spec, tolerance) -> list:
@@ -446,7 +446,6 @@ def _battery_modulators():
 
 def run_all(ns) -> list:
     spec = _spec(ns)
-    seed = ns.seed
     mods = _battery_modulators()
     cases = []
 
@@ -471,8 +470,7 @@ def run_all(ns) -> list:
                               1e-8)
 
     # q-Pearson identity for the weight and a rough density.
-    rng = np.random.default_rng(seed)
-    xs = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 100))
+    xs = np.exp(uniform(ns.seed, math.log(1e-3), math.log(1e3), 100))
     for k in (0.5, 1.0, 2.0):
         cases += _pearson_case(f"pearson/weight/k={k}", LogNormalWeight(k),
                                xs, 1e-13)
@@ -501,11 +499,11 @@ def run_all(ns) -> list:
         w_spec = WeierstrassSpec(a, b, 10, "sine")
         cases += _holder_cases(
             f"holder/a={a}/b={b}", w_spec, w_spec.holder_exponent,
-            64, 16, seed, 0.05, {"a": a, "b": b, "kind": "sine"},
+            64, 16, ns.seed, 0.05, {"a": a, "b": b, "kind": "sine"},
         )
     cases += _holder_cases(
         "holder/smooth", lambda u: np.sin(2.0 * np.pi * u), 1.0,
-        64, 16, seed, 0.02, {"profile": "sin(2*pi*u)"},
+        64, 16, ns.seed, 0.02, {"profile": "sin(2*pi*u)"},
     )
 
     # The moment exponent is positive; the report header states it.
