@@ -24,13 +24,11 @@ from .measures import (
     positivity_bound,
 )
 from .moments import (
-    MAX_BASIS_DEGREE,
+    GramReport,
     HankelReport,
     MomentSequence,
-    OrthogonalBasis,
-    cross_orthogonality_check,
     hankel_check,
-    orthogonal_basis_from_moments,
+    stieltjes_wigert_check,
 )
 from .qcalc import QDerivativeSample, q_derivative, q_pearson_residual
 from .quadrature import (
@@ -56,15 +54,14 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetExceededError",
     "DivergenceWitness",
+    "GramReport",
     "HankelReport",
     "HolderEstimate",
     "LogNormalWeight",
     "LogScaled",
-    "MAX_BASIS_DEGREE",
     "MOMENT_SIGN_NOTE",
     "Modulator",
     "MomentSequence",
-    "OrthogonalBasis",
     "PerturbedDensity",
     "QDerivativeSample",
     "QuadratureResult",
@@ -73,7 +70,6 @@ __all__ = [
     "WeierstrassSpec",
     "__version__",
     "base_moment_closed_form",
-    "cross_orthogonality_check",
     "divergence_witness",
     "eval_density",
     "eval_modulator",
@@ -85,9 +81,9 @@ __all__ = [
     "modulator_from_dict",
     "modulator_moment_factor",
     "modulator_to_dict",
-    "orthogonal_basis_from_moments",
     "positivity_bound",
     "q_derivative",
     "q_pearson_residual",
+    "stieltjes_wigert_check",
     "vanishing_integral",
 ]

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Union
+from typing import Iterator, Union
 
 import numpy as np
 

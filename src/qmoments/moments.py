@@ -1,4 +1,4 @@
-"""Hankel positivity and orthogonal polynomial structure from moments.
+"""Hankel positivity and Stieltjes-Wigert orthogonality from moments.
 
 Raw Hankel matrices for this moment family are useless in float64: the
 entries M_{i+j} = exp((i+j+1)^2 / (4 k^2)) span hundreds of orders of
@@ -10,11 +10,9 @@ the base weight the normalized Hankel collapses to the Gaussian Toeplitz
 form exp(-(i-j)^2 / (4 k^2)), which keeps condition numbers tame for the
 small dimensions treated here.
 
-Orthogonal polynomials come out in the scaled variable y = x / rho with
-rho = M_1 / M_0, as monic coefficient rows.  The degree is capped at
-``MAX_BASIS_DEGREE``: beyond that the monic coefficients themselves
-approach the float64 range and the normalized Gram matrix approaches
-numerical rank deficiency for broad weights.
+The orthogonal polynomials of the weight are the Stieltjes-Wigert
+polynomials, known in closed form; ``stieltjes_wigert_check`` takes their
+Gram matrix under any moment sequence, in the same normalized coordinates.
 """
 
 import math
@@ -28,20 +26,12 @@ from .measures import BudgetExceededError, LogNormalWeight, PerturbedDensity, _c
 from .quadrature import QuadratureSpec, _integrate_orders, base_moment_closed_form
 
 __all__ = [
-    "MAX_BASIS_DEGREE",
     "MomentSequence",
     "HankelReport",
     "hankel_check",
-    "OrthogonalBasis",
-    "orthogonal_basis_from_moments",
-    "cross_orthogonality_check",
+    "GramReport",
+    "stieltjes_wigert_check",
 ]
-
-MAX_BASIS_DEGREE = 6
-
-# largest 0.5 * ln mhat_{2 degree} the monic conversion tolerates before
-# its coefficients leave float64 range
-_MAX_HALF_LOG = 300.0
 
 
 @dataclass(frozen=True)
@@ -80,12 +70,17 @@ class MomentSequence:
         count: int,
         spec: QuadratureSpec = QuadratureSpec(),
     ) -> "MomentSequence":
-        """Moments of a weight or perturbed density by verified quadrature."""
+        """Moments of a weight or perturbed density by verified quadrature.
+
+        The errors bound the moments of the density as constructed.  A
+        truncated Weierstrass modulator is a finite sine sum and shares
+        every moment, so ``series_tail_budget`` is no moment error.
+        """
         count = _check_int(count, "count", 1)
         vals, errs = [], []
         for r in _integrate_orders(obj, range(count), spec):
             vals.append(r.value)
-            errs.append(r.error_estimate + r.series_tail_budget)
+            errs.append(r.error_estimate)
         k = obj.k if isinstance(obj, LogNormalWeight) else obj.weight.k
         return cls(values=tuple(vals), error_estimates=tuple(errs), k=k)
 
@@ -203,132 +198,90 @@ def hankel_check(seq: MomentSequence, dim: Union[int, None] = None) -> HankelRep
 
 
 @dataclass(frozen=True)
-class OrthogonalBasis:
-    """Monic orthogonal polynomials of a positive moment sequence.
-
-    ``monic[i, j]`` is the coefficient of y**j in the degree-i monic
-    polynomial, y = x * exp(-ln_rho).  ``normalized[i, :]`` expresses the
-    i-th orthonormal polynomial in the diagonally normalized monomial
-    basis z_r = y**r / sqrt(mhat_{2r}); all cross-measure arithmetic
-    happens there, where every quantity is O(1).  ``gram_residual`` is
-    the max entrywise deviation of the reconstructed Gram matrix from the
-    identity, a self-consistency figure for the factorization.
-    """
+class GramReport:
+    """max |G - I| for the computed Gram matrix G (``residual``), and a
+    bound on every entry of G's distance from its exact value (``bound``);
+    see ``stieltjes_wigert_check``."""
 
     degree: int
-    ln_rho: float
-    ln_m0: float
-    monic: np.ndarray
-    normalized: np.ndarray
-    half_log_diag: np.ndarray
-    gram_residual: float
-    k: Union[float, None] = None
-
-    def evaluate_monic(self, i: int, x):
-        """Value of the degree-i monic polynomial at x (scalar or array)."""
-        i = _check_int(i, "polynomial index", 0, self.degree)
-        y = np.asarray(x, dtype=float) * math.exp(-self.ln_rho)
-        acc = np.zeros_like(y)
-        for j in range(i, -1, -1):
-            acc = acc * y + self.monic[i, j]
-        return float(acc) if np.ndim(x) == 0 else acc
+    residual: float
+    bound: float
 
 
-def _scaled_log_moments(seq: MomentSequence, count: int, ln_m0, ln_rho):
-    """ln of M_n / (M_0 rho^n) for n < count; requires positive moments."""
-    out = np.empty(count)
-    for n in range(count):
-        v = seq[n]
-        if v.sign <= 0:
-            raise ValueError(f"moment {n} is not positive; no orthogonal basis")
-        out[n] = v.ln_abs - ln_m0 - n * ln_rho
-    return out
+def _sw_log_coefficients(w: LogNormalWeight, degree: int):
+    """(sign, ln|c|, ln h, ln (q;q)) of the weight's Stieltjes-Wigert polynomials.
+
+    c_nj = (-1)**j q**(j*j + j/2) / ((q;q)_j (q;q)_{n-j}) is the coefficient
+    of x**j in P_n (-inf in ln|c| above the diagonal) and h_n = M_0 q**-n /
+    (q;q)_n its squared norm.  ln (q;q)_n sums log(-expm1(i ln q)), which
+    keeps its digits as q -> 1, where log1p(-exp(i ln q)) loses about four
+    digits.  Out-of-range values come back non-finite, without a warning.
+    """
+    ln_m0 = base_moment_closed_form(w, 0).ln_abs
+    n, ln_q = np.arange(degree + 1), w.ln_q
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ln_qq = np.concatenate(([0.0], np.cumsum(np.log(-np.expm1(n[1:] * ln_q)))))
+        tail = ln_qq[np.maximum(n[:, None] - n, 0)]
+        ln_c = np.where(n[:, None] >= n, (n * n + 0.5 * n) * ln_q - ln_qq - tail, -np.inf)
+        ln_h = ln_m0 - n * ln_q - ln_qq
+    return np.where(n % 2, -1.0, 1.0), ln_c, ln_h, ln_qq
 
 
-def _normalized_gram(lnm, half):
-    """G_rs = exp(lnm[r+s] - half[r] - half[s]), the Gram matrix of the
-    monomials z_r = y**r / sqrt(mhat_{2r}) under the scaled log moments."""
-    size = half.size
-    gram = np.empty((size, size))
-    for r in range(size):
-        for s in range(r, size):
-            gram[r, s] = gram[s, r] = math.exp(lnm[r + s] - half[r] - half[s])
-    return gram
+def stieltjes_wigert_check(
+    w: LogNormalWeight, seq: MomentSequence, degree: int
+) -> GramReport:
+    """Gram matrix of the weight's orthonormal Stieltjes-Wigert polynomials under seq.
 
+    With M_n = q**(-(n+1)**2 / 2) and q = exp(-1 / (2 k**2)), the
+    polynomials P_n(x) = (1/(q;q)_n) sum_j [n j]_q q**(j*j + j/2) (-x)**j are
+    orthogonal for the weight, with <P_n, P_n> = h_n = M_0 q**-n / (q;q)_n
+    (Koekoek, Lesky & Swarttouw, section 14.27).  Let Hhat be the normalized
+    Hankel matrix of seq and B[n, j] = c_nj sqrt(M_2j) / sqrt(h_n), with
+    M_2j from seq and h_n from w.  The sqrt(M_2j) cancel in G = B Hhat B^T,
+    whose (m, n) entry is sum c_mi c_nj M_{i+j} / sqrt(h_m h_n): G = I
+    exactly when seq shares M_0 .. M_{2 degree} with the weight.
 
-def _gram_residual(inv, gram) -> float:
-    """max |inv G inv^T - I|: how far the rows of inv are from orthonormal."""
-    return float(np.max(np.abs(inv @ gram @ inv.T - np.eye(gram.shape[0]))))
+    Bound.  Let C = max(|B| |Hhat| |B|^T), the cancellation factor, and
+    u = eps / 2.  Every entry of B and Hhat is exp(e), e a float64 sum of
+    at most N = 2 degree + 4 logs l (ln M_n, (j*j + j/2) ln q, n ln q and the
+    log(1 - q**i) inside ln (q;q)), each within 4u (|l| + 1) of its exact
+    value.  The three exponents behind one term B_mi Hhat_ij B_nj add up at
+    most T = 4 L + 2 (degree**2 + degree) |ln q| + 5 |ln (q;q)_degree| in
+    |l|, L the largest |ln M| used, so the term is off relatively by at most
+    (N + 3) u T + 12 N u, plus 6u for three exp, 2u for two products,
+    2 (degree + 1) u for the two matrix sums and u for subtracting I.  The
+    whole is below rho = (2 degree + 7) eps (T + 13), which leaves a factor
+    two for second-order terms, so rounding moves each entry of G by at
+    most C rho.  A relative moment error err_{i+j} moves entry (m, n) by
+    sum |B_mi| |Hhat_ij| |B_nj| err_{i+j} <= C max(err), to first order.
+    ``bound`` is C (rho + max(err)).
 
-
-def orthogonal_basis_from_moments(
-    seq: MomentSequence, degree: int
-) -> OrthogonalBasis:
-    """Monic orthogonal polynomials of degrees 0..degree for the sequence.
-
-    Needs 2*degree + 1 moments.  Capped at MAX_BASIS_DEGREE; see the
-    module docstring for why higher degrees are refused.  Overflowing monic
-    coefficients and a Gram matrix not positive definite raise BudgetExceededError.
+    Needs 2 degree + 1 moments with positive even ones.  Coefficients or a
+    bound that float64 cannot hold raise BudgetExceededError naming k.
     """
     if not isinstance(seq, MomentSequence):
         raise ValueError(f"expected a MomentSequence, got {seq!r}")
-    degree = _check_int(degree, "degree", 1, MAX_BASIS_DEGREE)
+    degree = _check_int(degree, "degree", 1)
     need = 2 * degree + 1
     if len(seq) < need:
-        raise ValueError(f"degree {degree} needs {need} moments, have {len(seq)}")
-    if seq[0].sign <= 0 or seq[1].sign <= 0:
-        raise ValueError("M_0 and M_1 must be positive to scale the variable")
-    ln_m0 = seq[0].ln_abs
-    ln_rho = seq[1].ln_abs - ln_m0
-    lnm = _scaled_log_moments(seq, need, ln_m0, ln_rho)
-    half = 0.5 * lnm[0 : 2 * degree + 1 : 2]
-    if half[-1] > _MAX_HALF_LOG:
+        raise ValueError(f"degree {degree} needs {need} moments, sequence has {len(seq)}")
+    hhat = _normalized_hankel(seq, degree + 1, 0)
+    if hhat is None:
+        raise ValueError("an even moment is not positive; the sequence has no Gram matrix")
+    sign, ln_c, ln_h, ln_qq = _sw_log_coefficients(w, degree)  # checks w
+    diag_ln = np.array([seq[2 * j].ln_abs for j in range(degree + 1)])
+    # ln_h[0] is the weight's ln M_0; a zero moment is exact and adds no rounding
+    big_l = max([abs(ln_h[0])] + [abs(v.ln_abs) for v in seq.values[:need] if v.sign])
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = sign * np.exp(ln_c + 0.5 * diag_ln - 0.5 * ln_h[:, None])
+        cancel = float(np.max(np.abs(b) @ np.abs(hhat) @ np.abs(b).T))
+        t = 4.0 * big_l + 2.0 * (degree * degree + degree) * abs(w.ln_q) + 5.0 * abs(ln_qq[-1])
+        rho = (2 * degree + 7) * np.finfo(float).eps * (t + 13.0)
+        bound = cancel * (rho + max(seq.error_estimates[:need]))
+        residual = float(np.max(np.abs(b @ hhat @ b.T - np.eye(degree + 1))))
+    if not (math.isfinite(bound) and math.isfinite(residual)):
         raise BudgetExceededError(
-            f"k={seq.k!r}: monic coefficients would overflow float64 at degree "
-            f"{degree}; the weight is too broad (k too small)"
+            f"k={w.k!r}: the Stieltjes-Wigert coefficients of degree <= {degree} "
+            "or their rounding bound leave the float64 range"
         )
-    gram = _normalized_gram(lnm, half)
-    try:
-        chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        raise BudgetExceededError(
-            f"k={seq.k!r}: normalized moment Gram matrix is not positive definite"
-        ) from None
-    size = degree + 1
-    inv = np.linalg.solve(chol, np.eye(size))
-    residual = _gram_residual(inv, gram)
-    monic = np.zeros((size, size))
-    for i in range(size):
-        for j in range(i + 1):
-            monic[i, j] = inv[i, j] / inv[i, i] * math.exp(half[i] - half[j])
-    return OrthogonalBasis(
-        degree=degree,
-        ln_rho=ln_rho,
-        ln_m0=ln_m0,
-        monic=monic,
-        normalized=inv,
-        half_log_diag=half,
-        gram_residual=residual,
-        k=seq.k,
-    )
-
-
-def cross_orthogonality_check(basis: OrthogonalBasis, seq: MomentSequence) -> float:
-    """Max |<e_i, e_j>_seq - delta_ij| for the basis under another measure.
-
-    The basis polynomials are orthonormal for the sequence they were built
-    from; feeding the moment sequence of a different measure here gives
-    the largest deviation of their Gram matrix from the identity.  If the
-    two measures share all moments up to 2*degree the result is zero up
-    to moment and factorization error, however different the measures
-    look pointwise.
-    """
-    if not isinstance(basis, OrthogonalBasis):
-        raise ValueError(f"expected an OrthogonalBasis, got {basis!r}")
-    if not isinstance(seq, MomentSequence):
-        raise ValueError(f"expected a MomentSequence, got {seq!r}")
-    need = 2 * basis.degree + 1
-    if len(seq) < need:
-        raise ValueError(f"need {need} moments, have {len(seq)}")
-    lnm = _scaled_log_moments(seq, need, basis.ln_m0, basis.ln_rho)
-    return _gram_residual(basis.normalized, _normalized_gram(lnm, basis.half_log_diag))
+    return GramReport(degree=degree, residual=residual, bound=float(bound))

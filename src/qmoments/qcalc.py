@@ -33,12 +33,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 from . import _dd
 from .measures import (
     LogNormalWeight,
-    Modulator,
     PerturbedDensity,
     _as_positive_array,
     _lnq_dd,

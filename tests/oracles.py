@@ -227,6 +227,31 @@ def mp_orthonormal_coeffs(k, degree, dps=60):
         return coeffs
 
 
+def mp_sw_norms(k, degree, dps=60):
+    """<P_n, P_n> for the Stieltjes-Wigert P_0 .. P_degree, from determinants.
+
+    The monic orthogonal polynomial of degree n has squared norm D_{n+1} /
+    D_n, D_n = det [M_{i+j}]_{i,j<n} with the closed-form M_n = exp((n+1)**2
+    / (4 k**2)); P_n has leading coefficient (-1)**n q**(n*n + n/2) / (q;q)_n,
+    q = exp(-1 / (2 k**2)).  Nothing here uses the closed-form norm.
+    """
+    with mpmath.workdps(dps):
+        kk = mpmath.mpf(k)
+        q = mpmath.exp(-1 / (2 * kk**2))
+
+        def m(n):
+            return mpmath.exp(mpmath.mpf(n + 1) ** 2 / (4 * kk**2))
+
+        dets = [mpmath.mpf(1)] + [
+            mpmath.det(mpmath.matrix([[m(i + j) for j in range(size)] for i in range(size)]))
+            for size in range(1, degree + 2)
+        ]
+        return [
+            (q ** (n * n + mpmath.mpf(n) / 2) / mpmath.qp(q, q, n)) ** 2 * dets[n + 1] / dets[n]
+            for n in range(degree + 1)
+        ]
+
+
 def mp_panel(k, c0, c1, center, half, phase0, a, kind, dps=60):
     """One oscillatory panel integral in closed form, via the complex erf.
 

@@ -6,6 +6,7 @@ exit-code contract and both output formats are exercised against real
 runs.
 """
 
+import contextlib
 import csv
 import io
 import json
@@ -14,9 +15,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import qmoments
 from qmoments import MOMENT_SIGN_NOTE, modulator_from_dict
-from qmoments.cli import _cases_or_refusals, main
+from qmoments.cli import SCHEMA_VERSION, _cases_or_refusals, main
 from qmoments.quadrature import modulator_moment_factor
 
 COS_MOD = '{"k": 0.5, "lambda": 0.1, "modes": [{"a": 1.0, "b": 1, "kind": "cosine"}]}'
@@ -45,7 +48,7 @@ class TestReportShape:
         )
         assert code == 0
         h = rep["header"]
-        assert h["schema_version"] == 2
+        assert h["schema_version"] == 3
         assert h["command"] == "vanish"
         assert "backend" not in h
         assert h["moment_convention"] == MOMENT_SIGN_NOTE
@@ -252,10 +255,12 @@ class TestExitCodes:
         (["qderiv", "--modulator", sine1_mod(1e7)], ["qderiv/k=10000000.0"],
          "10000000.0"),
         (["hankel", "--k", "100"], ["hankel/k=100.0"], "100.0"),
+        (["gram", "--k", "5"], ["gram/k=5.0/self"], "5.0"),
+        (["gram", "--k", "10"], ["gram/k=10.0/self"], "10.0"),
     ], ids=["gram-broad", "gram-narrow", "pearson-tiny", "pearson-huge",
             "qderiv-q-zero", "qderiv-qx-zero", "qderiv-q-one", "pearson-k10",
             "pearson-k20", "pearson-k50", "pearson-k100", "qderiv-floor",
-            "hankel-k100"])
+            "hankel-k100", "gram-k5", "gram-k10"])
     def test_numerical_limits_are_named_failed_cases(self, args, ids, k, tmp_path, capsys):
         # float64 has no answer here (no basis, ln q or q-step, the weight
         # underflows, the noise floor passes the tolerance everywhere, or
@@ -326,6 +331,65 @@ class TestExitCodes:
         assert code == 0
         (case,) = rep["cases"]
         assert case["pass"] is True and case["value"] <= 1e-15
+
+
+class TestGram:
+    def test_high_degree_at_a_broad_weight_passes(self, tmp_path):
+        code, rep = run_json(tmp_path, ["gram", "--k", "0.45", "--degree", "8"])
+        assert code == 0
+        (case,) = rep["cases"]
+        assert case["pass"] is True
+        assert case["value"] <= case["error_estimate"]
+        assert case["value"] + case["error_estimate"] <= case["tolerance"]
+
+    @pytest.mark.parametrize("degree", ["0", "1001"])
+    def test_degree_outside_the_size_bound_is_a_configuration_error(self, degree, capsys):
+        assert main(["gram", "--k", "1", "--degree", degree]) == 2
+        assert "--degree must be in [1, 1000]" in capsys.readouterr().err
+
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.floats(0.3, 10.0), degree=st.integers(1, 10))
+    def test_true_identity_is_a_backed_pass_or_a_named_refusal(self, k, degree):
+        # a sine modulator shares every moment with the weight, so both the
+        # self and the cross case state true identities: never a FAIL
+        mod = json.dumps({"k": k, "lambda": 0.5,
+                          "modes": [{"a": 1.0, "b": 1, "kind": "sine"}]})
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["gram", "--modulator", mod, "--degree", str(degree)])
+        rep = json.loads(out.getvalue())
+        assert len(rep["cases"]) == 2
+        for case in rep["cases"]:
+            if case["value"] is None:
+                assert case["pass"] is False
+                assert f"k={k!r}, degree {degree}" in case["inputs"]["reason"]
+            else:
+                assert case["pass"] is True
+                assert case["value"] <= case["error_estimate"]
+                assert case["value"] + case["error_estimate"] <= case["tolerance"]
+        assert code == (0 if rep["summary"]["failed"] == 0 else 1)
+
+
+# the sorted public API at each report schema version; a change to
+# qmoments.__all__ needs a new SCHEMA_VERSION and a new entry here
+PUBLIC_API = {
+    3: [
+        "BudgetExceededError", "DivergenceWitness", "GramReport", "HankelReport",
+        "HolderEstimate", "LogNormalWeight", "LogScaled", "MOMENT_SIGN_NOTE",
+        "Modulator", "MomentSequence", "PerturbedDensity", "QDerivativeSample",
+        "QuadratureResult", "QuadratureSpec", "TrigMode", "WeierstrassSpec",
+        "__version__", "base_moment_closed_form", "divergence_witness",
+        "eval_density", "eval_modulator", "eval_weight", "hankel_check",
+        "holder_estimate", "integrate_moment", "local_oscillation",
+        "modulator_from_dict", "modulator_moment_factor", "modulator_to_dict",
+        "positivity_bound", "q_derivative", "q_pearson_residual",
+        "stieltjes_wigert_check", "vanishing_integral",
+    ],
+}
+
+
+def test_public_api_is_frozen_with_the_schema_version():
+    assert sorted(qmoments.__all__) == PUBLIC_API[SCHEMA_VERSION]
 
 
 class TestDeterminism:

@@ -24,7 +24,7 @@ from qmoments.measures import (
     modulator_to_dict,
     positivity_bound,
 )
-from qmoments.moments import MomentSequence, hankel_check, orthogonal_basis_from_moments
+from qmoments.moments import MomentSequence, hankel_check, stieltjes_wigert_check
 from qmoments.quadrature import (
     base_moment_closed_form,
     integrate_moment,
@@ -545,12 +545,12 @@ INTEGER_REFUSALS = {
     "count-low": (lambda: MomentSequence.closed_form(W1, 0), "count must be >= 1"),
     "dim-bool": (lambda: hankel_check(SEQ, True), "dim must be an integer"),
     "degree-high": (
-        lambda: orthogonal_basis_from_moments(SEQ, 7),
-        "degree must be <= 6",
+        lambda: stieltjes_wigert_check(W1, SEQ, 3),
+        "degree 3 needs 7 moments, sequence has 5",
     ),
-    "index-high": (
-        lambda: orthogonal_basis_from_moments(SEQ, 2).evaluate_monic(3, 1.0),
-        "polynomial index must be <= 2, got 3",
+    "degree-low": (
+        lambda: stieltjes_wigert_check(W1, SEQ, 0),
+        "degree must be >= 1, got 0",
     ),
     "probes-low": (
         lambda: holder_estimate(SPEC, probes=7),

@@ -1,16 +1,19 @@
-"""Hankel positivity, orthogonal bases, and moment-level indistinguishability.
+"""Hankel positivity, the Stieltjes-Wigert basis, and moment-level indistinguishability.
 
 Frozen coefficient rows come from an independent mpmath Gram-Schmidt at 60
 digits (oracles.mp_orthonormal_coeffs); the live comparison below re-runs
-it for three weights.  The same-moments-same-basis tests are the heart of
-the matter: measures that differ pointwise by a visible amount produce
-Gram matrices and bases identical to within quadrature error.
+it for three weights against the closed-form coefficients, and the norms
+are held to mpmath Hankel determinants.  The same-moments-same-Gram tests
+are the heart of the matter: measures that differ pointwise by a visible
+amount leave the weight's orthonormal polynomials orthonormal to within
+rounding and quadrature error.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from test_measures import trig_modulator, weier_modulator
 
@@ -18,11 +21,10 @@ import oracles
 from qmoments.logscale import LogScaled
 from qmoments.measures import BudgetExceededError, LogNormalWeight, PerturbedDensity
 from qmoments.moments import (
-    MAX_BASIS_DEGREE,
     MomentSequence,
-    cross_orthogonality_check,
+    _sw_log_coefficients,
     hankel_check,
-    orthogonal_basis_from_moments,
+    stieltjes_wigert_check,
 )
 
 # monic rows in y = x/rho at k = 1, from mpmath at 60 digits
@@ -35,6 +37,16 @@ FROZEN_K1_ROWS = {
 
 def closed_seq(k, count=13):
     return MomentSequence.closed_form(LogNormalWeight(k), count)
+
+
+def monic_rows(k, degree):
+    """Closed-form monic rows in y = x/rho, rho = M_1/M_0 = q**(-3/2)."""
+    w = LogNormalWeight(k)
+    sign, ln_c, _, _ = _sw_log_coefficients(w, degree)
+    n = np.arange(degree + 1)
+    ln_rho = -1.5 * w.ln_q
+    return (sign * sign[:, None]
+            * np.exp(ln_c - np.diag(ln_c)[:, None] + (n - n[:, None]) * ln_rho))
 
 
 class TestMomentSequence:
@@ -121,76 +133,91 @@ class TestHankel:
 
 class TestOrthogonalBasis:
     def test_first_polynomial_is_mean_centered(self):
-        basis = orthogonal_basis_from_moments(closed_seq(1.0), 5)
-        assert basis.monic[1, 0] == pytest.approx(-1.0, abs=1e-14)
-        assert basis.monic[1, 1] == 1.0
+        monic = monic_rows(1.0, 5)
+        assert monic[1, 0] == pytest.approx(-1.0, abs=1e-14)
+        assert monic[1, 1] == 1.0
         # rho = M_1/M_0 = exp(3/4); the degree-1 polynomial vanishes there
-        rho = math.exp(basis.ln_rho)
+        w = LogNormalWeight(1.0)
+        rho = math.exp(-1.5 * w.ln_q)
         assert rho == pytest.approx(2.1170000166126748, rel=1e-15)
-        assert abs(basis.evaluate_monic(1, rho)) <= 1e-13
+        sign, ln_c, _, _ = _sw_log_coefficients(w, 1)
+        assert abs(sign[0] * math.exp(ln_c[1, 0]) + sign[1] * math.exp(ln_c[1, 1]) * rho) <= 1e-13
 
     def test_frozen_rows_at_k1(self):
-        basis = orthogonal_basis_from_moments(closed_seq(1.0), 5)
+        monic = monic_rows(1.0, 5)
         for i, row in FROZEN_K1_ROWS.items():
             for j, ref in enumerate(row):
-                assert basis.monic[i, j] == pytest.approx(
+                assert monic[i, j] == pytest.approx(
                     ref, abs=1e-13 * max(1.0, abs(ref))
                 )
         # the constant terms are powers of e
-        assert basis.monic[2, 0] == pytest.approx(math.e, rel=1e-13)
-        assert basis.monic[3, 0] == pytest.approx(-math.exp(3.0), rel=1e-13)
+        assert monic[2, 0] == pytest.approx(math.e, rel=1e-13)
+        assert monic[3, 0] == pytest.approx(-math.exp(3.0), rel=1e-13)
 
     @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
     def test_against_mpmath_gram_schmidt(self, k):
-        basis = orthogonal_basis_from_moments(closed_seq(k), 5)
+        monic = monic_rows(k, 5)
         ref = oracles.mp_orthonormal_coeffs(k, 5)
         for i in range(6):
             for j in range(i + 1):
                 r = float(ref[i][j])
-                assert abs(basis.monic[i, j] - r) <= 1e-10 * max(1.0, abs(r))
-        assert basis.gram_residual <= 1e-11
+                assert abs(monic[i, j] - r) <= 1e-10 * max(1.0, abs(r))
+        assert stieltjes_wigert_check(LogNormalWeight(k), closed_seq(k, 11), 5).residual <= 1e-11
+
+    @pytest.mark.parametrize("k", [0.45, 1.0, 3.0])
+    def test_norms_against_mpmath_hankel_determinants(self, k):
+        _, _, ln_h, _ = _sw_log_coefficients(LogNormalWeight(k), 6)
+        for n, ref in enumerate(oracles.mp_sw_norms(k, 6, dps=300)):
+            assert math.exp(ln_h[n] - float(oracles.mpmath.log(ref))) == pytest.approx(1.0, abs=1e-13)
 
     def test_monic_diagonal_is_exactly_one(self):
-        basis = orthogonal_basis_from_moments(closed_seq(0.5), 6)
-        assert all(basis.monic[i, i] == 1.0 for i in range(7))
-
-    def test_evaluate_monic_shapes_and_validation(self):
-        basis = orthogonal_basis_from_moments(closed_seq(1.0), 3)
-        xs = np.array([0.5, 1.0, 2.0])
-        vals = basis.evaluate_monic(2, xs)
-        assert vals.shape == (3,)
-        y = 2.0 * math.exp(-basis.ln_rho)
-        by_hand = y * y + basis.monic[2, 1] * y + basis.monic[2, 0]
-        assert vals[2] == pytest.approx(by_hand, rel=1e-15)
-        for bad in (-1, 4, 1.5, True):
-            with pytest.raises(ValueError):
-                basis.evaluate_monic(bad, 1.0)
+        monic = monic_rows(0.5, 6)
+        assert all(monic[i, i] == 1.0 for i in range(7))
+        assert np.all(np.triu(monic, 1) == 0.0)
 
     def test_degree_and_length_validation(self):
-        seq = closed_seq(1.0)
-        for bad in (0, MAX_BASIS_DEGREE + 1, 2.5, True):
+        w, seq = LogNormalWeight(1.0), closed_seq(1.0)
+        for bad in (0, 2.5, True):
             with pytest.raises(ValueError):
-                orthogonal_basis_from_moments(seq, bad)
+                stieltjes_wigert_check(w, seq, bad)
+        with pytest.raises(ValueError, match="degree 3 needs 7 moments"):
+            stieltjes_wigert_check(w, closed_seq(1.0, 6), 3)
         with pytest.raises(ValueError):
-            orthogonal_basis_from_moments(closed_seq(1.0, 6), 3)
-        with pytest.raises(ValueError):
-            orthogonal_basis_from_moments([1.0], 2)
+            stieltjes_wigert_check(w, [1.0], 2)
 
     def test_non_positive_definite_moments_refused(self):
-        seq = MomentSequence.from_values([1.0, 2.0, 1.0])
-        with pytest.raises(BudgetExceededError, match="positive definite"):
-            orthogonal_basis_from_moments(seq, 1)
+        seq = MomentSequence.from_values([1.0, 2.0, -1.0])
+        with pytest.raises(ValueError, match="even moment is not positive"):
+            stieltjes_wigert_check(LogNormalWeight(1.0), seq, 1)
 
     def test_broad_weight_overflow_refused(self):
-        seq = MomentSequence.closed_form(LogNormalWeight(0.15), 13)
-        with pytest.raises(BudgetExceededError, match="overflow"):
-            orthogonal_basis_from_moments(seq, 6)
+        # at k = 0.15 the closed form is decided where the numerical basis
+        # overflowed; at k = 1e-30 the exponents cancel below float64 resolution
+        rep = stieltjes_wigert_check(LogNormalWeight(0.15), closed_seq(0.15), 6)
+        assert rep.residual <= rep.bound <= 1e-9
+        w = LogNormalWeight(1e-30)
+        with pytest.raises(BudgetExceededError, match="k=1e-30"):
+            stieltjes_wigert_check(w, MomentSequence.closed_form(w, 13), 6)
+
+    def test_other_moments_are_not_passed(self):
+        # a sequence that is not the weight's moves G far beyond the bound
+        seq = MomentSequence.from_values([1.0, 2.0, 1.0])
+        rep = stieltjes_wigert_check(LogNormalWeight(1.0), seq, 1)
+        assert rep.residual > 1.0 and rep.bound <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.floats(0.3, 10.0), degree=st.integers(1, 10))
+    def test_rounding_bound_covers_the_closed_form(self, k, degree):
+        # the exact residual of closed-form moments is 0, so the computed
+        # one is pure rounding and must lie inside the bound
+        w = LogNormalWeight(k)
+        rep = stieltjes_wigert_check(w, MomentSequence.closed_form(w, 2 * degree + 1), degree)
+        assert rep.degree == degree
+        assert rep.residual <= rep.bound
 
 
 class TestSharedMomentStructure:
     def test_perturbed_density_hankel_and_cross_orthogonality(self):
-        base = closed_seq(1.0)
-        basis = orthogonal_basis_from_moments(base, 5)
         d = PerturbedDensity.of(
             trig_modulator(1.0, 0.9, [(0.7, 1, "sine"), (0.3, 2, "sine")])
         )
@@ -199,46 +226,39 @@ class TestSharedMomentStructure:
         assert rep.positive_definite
         assert rep.shifted_positive_definite
         assert rep.moment_error <= 1e-12
-        assert cross_orthogonality_check(basis, seq) <= 1e-6
-        assert cross_orthogonality_check(basis, seq) <= 1e-10
-
-    def test_quadrature_moments_reproduce_the_basis(self):
-        # build the basis twice, from exact moments and from quadrature
-        # moments of a visibly different density; coefficients agree far
-        # below any pointwise difference between the measures
-        base = closed_seq(1.0)
-        basis = orthogonal_basis_from_moments(base, 5)
-        d = PerturbedDensity.of(
-            trig_modulator(1.0, 0.9, [(0.7, 1, "sine"), (0.3, 2, "sine")])
-        )
-        other = orthogonal_basis_from_moments(
-            MomentSequence.from_quadrature(d, 13), 5
-        )
-        gap = np.max(
-            np.abs(other.monic - basis.monic)
-            / np.maximum(1.0, np.abs(basis.monic))
-        )
-        assert gap <= 1e-7
-        assert gap <= 1e-11
+        gram = stieltjes_wigert_check(LogNormalWeight(1.0), seq, 6)
+        assert gram.residual <= 1e-6
+        assert gram.residual <= 1e-10
+        assert gram.residual + gram.bound <= 1e-6
 
     def test_nowhere_differentiable_member_shares_the_structure(self):
-        base = closed_seq(1.0)
-        basis = orthogonal_basis_from_moments(base, 5)
         d = PerturbedDensity.of(weier_modulator(1.0, 0.9, 0.5, 3, 10))
         seq = MomentSequence.from_quadrature(d, 13)
         rep = hankel_check(seq)
         assert rep.positive_definite
         assert rep.shifted_positive_definite
-        # quadrature error is tiny; the reported moment error is dominated
-        # by the series cutoff bound, which is honest but coarse
-        assert rep.moment_error <= 2e-3
-        assert cross_orthogonality_check(basis, seq) <= 1e-6
+        # the truncated series is a finite sine sum, so its density shares
+        # every moment; the moment error is the quadrature's alone
+        assert rep.moment_error <= 1e-12
+        gram = stieltjes_wigert_check(LogNormalWeight(1.0), seq, 6)
+        assert gram.residual <= 1e-6
+        assert gram.residual + gram.bound <= 1e-6
 
     def test_cross_orthogonality_validation(self):
-        basis = orthogonal_basis_from_moments(closed_seq(1.0), 5)
-        with pytest.raises(ValueError):
-            cross_orthogonality_check(basis, closed_seq(1.0, 6))
-        with pytest.raises(ValueError):
-            cross_orthogonality_check(basis, [1.0])
-        with pytest.raises(ValueError):
-            cross_orthogonality_check(object(), closed_seq(1.0))
+        # the weight side is checked as well as the moment side
+        d = PerturbedDensity.of(trig_modulator(1.0, 0.9, [(0.7, 1, "sine")]))
+        with pytest.raises(ValueError, match="degree 5 needs 11 moments"):
+            stieltjes_wigert_check(LogNormalWeight(1.0), MomentSequence.from_quadrature(d, 6), 5)
+        for not_a_weight in (object(), 1.0, d):
+            with pytest.raises(ValueError, match="expected a LogNormalWeight"):
+                stieltjes_wigert_check(not_a_weight, closed_seq(1.0), 5)
+
+    def test_moment_errors_enter_the_bound(self):
+        # the same moments with a stated relative error of 1e-9 each
+        seq = closed_seq(1.0)
+        noisy = MomentSequence(seq.values, (1e-9,) * len(seq), k=1.0)
+        w = LogNormalWeight(1.0)
+        exact = stieltjes_wigert_check(w, seq, 6)
+        rep = stieltjes_wigert_check(w, noisy, 6)
+        assert rep.residual == exact.residual
+        assert rep.bound > exact.bound + 1e-9
