@@ -64,7 +64,9 @@ def _split(a):
 
 
 def two_prod(a, b):
-    """Error-free product: returns (p, e) with p + e == a * b exactly."""
+    """Error-free product: returns (p, e) with p + e == a * b exactly, while
+    a * b is finite, |a|, |b| <= 1.3393857490036325e300 (past it the split
+    overflows and e is NaN) and their binary exponents sum to >= -970."""
     p = a * b
     ahi, alo = _split(a)
     bhi, blo = _split(b)

@@ -20,17 +20,15 @@ few eps however large the moments grow.
 Design points
 -------------
 * Every component (the base weight, each sine and each cosine harmonic)
-  uses the same smooth panel grid: panels of width <= 0.75/k with 32
-  Gauss-Legendre nodes each, so the cost of a component does not depend
-  on its harmonic.  Oscillatory panels use Filon weights (Iserles &
-  Norsett 2005): the envelope's degree-31 interpolant at the nodes is
-  integrated against ``exp(i a x)`` exactly, through
-  ``integral_{-1}^{1} P_l(x) exp(i a x) dx = 2 i**l j_l(a)`` (DLMF 10.60),
-  with ``a = omega * half`` the same on every panel of a pass.  At
-  ``a = 0`` the weights are the Gauss-Legendre weights themselves.  The
-  error estimate comes from an independent second pass at 1.5x the panel
-  count, never from the tolerance the caller asked for, plus a bound on
-  the rounding of the Filon weights.
+  uses one smooth panel grid: panels of width <= 0.75/k with 32
+  Gauss-Legendre nodes each, so its cost does not depend on its
+  harmonic.  Filon weights (Iserles & Norsett 2005) integrate the
+  envelope's degree-31 interpolant at the nodes against ``exp(i a x)``
+  exactly, through ``integral_{-1}^{1} P_l(x) exp(i a x) dx = 2 i**l
+  j_l(a)`` (DLMF 10.60), with ``a = omega * half``; at ``a = 0`` they are
+  the Gauss-Legendre weights.  Each integral is evaluated once, and its
+  quadrature error is a bound derived in :func:`_panel_integrals`, never
+  the tolerance the caller asked for.
 * Oscillatory phases are anchored per panel in exact integers: ln q is
   -1/(2 k**2) by definition, so (mu + c) / ln q = -2 k**2 (mu + c) is a
   binary fraction of doubles that each harmonic folds mod 1, with no
@@ -39,26 +37,26 @@ Design points
   used to reduce phases symbolically: the sine integrals must be seen to
   vanish by honest numerical evaluation (cancellation across panels),
   not by an identity baked into the evaluator.
-* One call evaluates both passes and all components of an integral
-  (the base weight and every harmonic of a modulator, Weierstrass terms
-  included) for a block of moment orders.  The panel grid and the Filon
-  weights depend on k, T and the harmonic only, so a block plans and
-  computes them once; each order keeps its own envelope, anchors, sums
-  and error terms, and equals the one-order call bit for bit.  Nothing
-  is cached, so no result is shared across moment orders n: the
-  n-independence of the modulator factor is a claim under test.
-* Three error components are recorded separately: quadrature refinement
-  (plus the eps * sigma granularity of the log-scaled value), Gaussian
-  domain truncation, and (for Weierstrass content) the dropped series
-  tail.  The first two bound the deviation from the exact integral of
-  the *constructed, truncated* object and form ``error_estimate``; the
-  series component measures distance to the untruncated limit object and
-  is reported alongside, not mixed in.
-* Every integral is planned up front, and the plan builds the panel
-  grids of both passes.  A harmonic above 2**53, a k with no finite
-  double-double ln q, an order whose eps * sigma reaches 1 (see
-  :func:`_plan_components`) or a plan above the node budget raises
-  :class:`BudgetExceededError` rather than silently under-resolving.
+* One call evaluates all components of an integral (the base weight and
+  every harmonic of a modulator, Weierstrass terms included) for a block
+  of moment orders.  The panel grid and the Filon weights depend on k, T
+  and the harmonic only, so a block plans and computes them once; each
+  order keeps its own envelope, anchors, sums and error terms, and
+  equals the one-order call bit for bit.  Nothing is cached, so no
+  result is shared across moment orders n: the n-independence of the
+  modulator factor is a claim under test.
+* Three error components are recorded separately: quadrature (the
+  derived bound plus the eps * sigma granularity of the log-scaled
+  value), Gaussian domain truncation, and (for Weierstrass content) the
+  dropped series tail.  The first two bound the deviation from the exact
+  integral of the *constructed, truncated* object and form
+  ``error_estimate``; the series component measures distance to the
+  untruncated limit object and is reported alongside, not mixed in.
+* Every integral is planned up front, and the plan builds its one panel
+  grid.  A harmonic above 2**53, a k with no finite double-double ln q,
+  an order whose eps * sigma reaches 1 (see :func:`_plan_components`) or
+  a plan above the node budget raises :class:`BudgetExceededError`
+  rather than silently under-resolving.
 """
 
 from __future__ import annotations
@@ -102,26 +100,24 @@ MOMENT_SIGN_NOTE = (
     "pin the positive exponent."
 )
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+_GL_NODES = np.polynomial.legendre.leggauss(32)[0]  # within 0.42 u of the zeros
+# numpy's weights miss by up to 525 u at the ends, beyond what the error
+# bound can carry; these are the exact ones rounded (checked with mpmath)
+_GL_WEIGHTS = np.array([
+    0.0965400885147278, 0.09563872007927486, 0.09384439908080457, 0.09117387869576389,
+    0.08765209300440381, 0.08331192422694675, 0.07819389578707031, 0.0723457941088485,
+    0.06582222277636185, 0.058684093478535544, 0.050998059262376175, 0.04283589802222668,
+    0.03427386291302143, 0.02539206530926206, 0.01627439473090567, 0.007018610009470096,
+])
+_GL_WEIGHTS = np.concatenate([_GL_WEIGHTS[::-1], _GL_WEIGHTS])
 _NODES_PER_PANEL = 32
-
-
-def _filon_matrix() -> np.ndarray:
-    """M[i, l] = w_i (2l+1) i**l P_l(x_i), so that W(a) = M @ j(a).
-
-    ``(2l+1)/2 * w_i P_l(x_i)`` maps node values to the Legendre
-    coefficients of their degree-31 interpolant, and each P_l integrates
-    against exp(i a x) to ``2 i**l j_l(a)``.
-    """
-    l = np.arange(_NODES_PER_PANEL)
-    leg = np.polynomial.legendre.legvander(_GL_NODES, _NODES_PER_PANEL - 1)
-    i_pow = np.array([1, 1j, -1, -1j])[l % 4]
-    return _GL_WEIGHTS[:, None] * leg * ((2.0 * l + 1.0) * i_pow)
-
-
-_FILON_MATRIX = _filon_matrix()
 _L = np.arange(float(_NODES_PER_PANEL))
 _TWO_L_PLUS_1 = 2.0 * _L + 1.0
+# M[i, l] = w_i (2l+1) i**l P_l(x_i), so that W(a) = M @ j(a): (2l+1)/2 w_i
+# P_l(x_i) maps node values to the Legendre coefficients of their
+# interpolant, and each P_l integrates against exp(i a x) to 2 i**l j_l(a)
+_FILON_MATRIX = (_GL_WEIGHTS[:, None] * np.polynomial.legendre.legvander(_GL_NODES, 31)
+                 * (_TWO_L_PLUS_1 * np.array([1, 1j, -1, -1j])[np.arange(32) % 4]))
 # 1 / (2l+1)!!: at small a, a**l / (2l+1)!! is within a relative a**2 / 6 of j_l(a)
 _LEADING = 1.0 / np.cumprod(_TWO_L_PLUS_1)
 # 2l + 1 as floats up to the deepest start of _spherical_jn's recurrence
@@ -141,7 +137,7 @@ class QuadratureSpec:
         Override for the half-width T of the centered window, in units of
         the log variable.  None picks ``sqrt(ln(10/rel_tol)) / k``.
     node_budget : int
-        Hard cap on integrand evaluations for one result (both passes).
+        Hard cap on integrand evaluations for one result.
     """
 
     rel_tol: float = 1e-12
@@ -170,7 +166,7 @@ class QuadratureResult:
     un-oscillated raw moment for vanishing integrals); all ``rel_*``
     error components are relative to ``exp(ln_scale)``.
 
-    ``error_estimate`` = quadrature refinement + domain truncation: it
+    ``error_estimate`` = quadrature bound + domain truncation: it
     bounds the deviation from the exact integral of the constructed
     object.  ``series_tail_budget`` is the separate sup-norm distance
     from a truncated Weierstrass modulator to its untruncated limit.
@@ -217,9 +213,8 @@ def _center_residuals(k: float, n: int):
 
 def _panel_grid(T: float, p: int):
     # half is T/p rounded up to 24 significant bits, so the panels cover
-    # [-T, T] and every center (2i + 1 - p) * half is exact: neighbours
-    # meet with no overlap or gap, each of which would add ~eps * |c|
-    # times the integrand, uncancelled by its oscillation.
+    # [-T, T] and every center (2i + 1 - p) * half is exact: neighbours meet
+    # with no overlap or gap, which would add ~eps * |c| times the integrand.
     m, e = math.frexp(T / p)
     half = math.ldexp(math.ceil(m * 2.0**24), e - 24)
     return (2.0 * np.arange(p) + (1.0 - p)) * half, half
@@ -233,48 +228,44 @@ def _turns(num: int, den: int) -> int:
     return (num << 128) // den & _MASK128
 
 
-def _phase_anchors(k: float, mu, harmonics, grids):
+def _phase_anchors(k: float, mu, harmonics, grid):
     """2*pi * frac(harmonic * (mu + c) / ln q), from exact integer phases.
 
-    One row per order's center mu and panel center c of the ``grids``
-    (``_panel_grid`` pairs; mu varies slowest, then the grids in order),
-    one column per harmonic h.  As ln q = -1/(2 k**2), u = (mu + c) / ln q
-    = -2 k**2 (mu + c) is an exact binary fraction of doubles: no rounded
-    ln q enters, and each order's phases come from its own mu alone.  A
-    grid's centers are c_i = c_0 + 2 i half, so h u_i = S + i D, with D =
-    -4 h k**2 half exact mod 1 and S = h u_0 mod 1 within h * 2**-128.
+    One row per order's center mu (slowest) and center c of the panel
+    ``grid``, one column per harmonic h.  As ln q = -1/(2 k**2), u = (mu +
+    c) / ln q = -2 k**2 (mu + c) is an exact binary fraction of doubles:
+    no rounded ln q enters, and each order's phases come from its own mu
+    alone.  The centers are c_i = c_0 + 2 i half, so h u_i = S + i D, with
+    D = -4 h k**2 half exact mod 1 and S = h u_0 mod 1 within h * 2**-128.
     With every i below 2**L, both split at b = 53 - L bits into a head,
     exact in ``i * head`` and in the sum of heads, and a rest below 2**-b
-    whose rounding costs about 2**(2L - 106) turns.
+    whose rounding costs about 2**(2L - 106) turns; an angle is then
+    within an ulp of 2 pi, 2**-50 rad.
     """
+    centers, half = grid
     kn, kd = k.as_integer_ratio()
     un, ud = -2 * kn * kn, kd * kd  # -2 k**2
-    counts = [c.size for c, _ in grids]
-    b = 53 - max(counts).bit_length()
-    turns = []  # each grid's D, then each order's S per grid
-    for _, half in grids:
-        hn, hd = half.as_integer_ratio()
-        turns += [_turns(2 * h * un * hn, ud * hd) for h in harmonics]
-    firsts = [float(c[0]).as_integer_ratio() for c, _ in grids]
+    b = 53 - centers.size.bit_length()
+    hn, hd = half.as_integer_ratio()
+    turns = [_turns(2 * h * un * hn, ud * hd) for h in harmonics]  # D, then S per order
+    cn, cd = float(centers[0]).as_integer_ratio()
     for m in np.atleast_1d(mu).tolist():
         mn, md = m.as_integer_ratio()
-        for cn, cd in firsts:
-            u0 = _turns(un * (mn * cd + cn * md), ud * md * cd)
-            turns += [h * u0 & _MASK128 for h in harmonics]
+        u0 = _turns(un * (mn * cd + cn * md), ud * md * cd)
+        turns += [h * u0 & _MASK128 for h in harmonics]
     low = (1 << (128 - b)) - 1
     split = np.array([[math.ldexp(t >> (128 - b), -b) for t in turns],
                       [math.ldexp(t & low, -128) for t in turns]])
-    split = np.repeat(split.reshape(2, -1, len(grids), len(harmonics)), counts, axis=2)
-    i = np.array([j for p in counts for j in range(p)], dtype=float)[:, None]
+    split = split.reshape(2, -1, 1, len(harmonics))
+    i = np.arange(centers.size, dtype=float)[:, None]
     head, rest = i * split[:, :1] + split[:, 1:]
     head -= np.floor(head)
     return phase_angle_split(head, rest).reshape(-1, len(harmonics))
 
 
 def _omega_s(k: float, harmonic: int) -> float:
-    # d/ds of 2*pi*harmonic*(mu+s)/ln q = -4*pi*harmonic*k**2; ln q < 0
-    # flips the sign, which matters not at all under the integral but is
-    # kept literal.  Overflows to -inf rather than raising.
+    # d/ds of 2*pi*harmonic*(mu+s)/ln q = -4*pi*harmonic*k**2; ln q < 0 flips
+    # the sign, kept literal.  Overflows to -inf rather than raising.
     return -4.0 * math.pi * float(harmonic) * k * k
 
 
@@ -325,64 +316,79 @@ def _spherical_jn(a: float) -> np.ndarray:
     return j
 
 
-def _panel_integrals(k, orders, components, grids):
-    """Per-panel integrals of unit-amplitude components, both passes at once,
-    for a block of moment orders.
+def _panel_integrals(k, orders, components, grid):
+    """Per-panel integrals of unit-amplitude components for a block of
+    moment orders, and a derived bound on each component's sum.
 
     ``components`` lists (harmonic, kind) pairs; the base weight is
-    harmonic 0, whose anchors are 0 and whose Filon weights are the
-    Gauss-Legendre weights.  Panel p of component c is ``half *
-    Re/Im(exp(i phase0[p, c]) * sum_i W_i(a_c) E(s_i))`` with the envelope
-    ``E(s) = exp(-k**2 s**2 + c0 + c1 s)``, complex node weights ``W_i(a) =
-    w_i sum_l (2l+1) i**l j_l(a) P_l(x_i)`` and ``a_c = omega_c * half``;
-    the sine takes the imaginary part.  ``sum_i W_i f(x_i)`` integrates the
-    degree-31 interpolant of f against exp(i a x) over [-1, 1] exactly.
+    harmonic 0, with anchors 0 and the Gauss-Legendre weights.  Panel p of
+    component c is ``half * Re/Im(exp(i phase0[p, c]) * sum_i W_i(a_c)
+    E(s_i))``, Im for a sine, with ``E(s) = exp(-k**2 s**2 + c0 + c1 s)``,
+    ``a_c = omega_c * half`` and ``W_i(a) = w_i sum_l (2l+1) i**l j_l(a)
+    P_l(x_i)``: these integrate E's degree-31 interpolant I E at the nodes
+    against exp(i a x) over [-1, 1] exactly.
 
-    Returns each order's sigma, the coarse and the fine (orders, panels,
-    components) partials, and per component the rounding of the fine
-    pass's weights relative to the envelope's mass: each ``W_i`` is within
-    ``2 eps w_i S(a)`` of its exact value, ``S(a) = sum_l (2l+1) |j_l(a)|``
-    (measured against mpmath: up to 1.74 eps w_i S(a)).  S is 1 at a = 0,
-    peaks near 28 at a ~ 31 and decays like 650 / a.
+    Returns each order's sigma, the (orders, panels, components) partials
+    and an (orders, components) bound on each panel sum's error relative
+    to sqrt(pi)/k: E's peak M = exp(c0 + c1**2/(4 k**2)) times three parts
+    relative to E's mass M sqrt(pi)/k.  Here u = 2**-53, kappa = k half <=
+    0.375, p panels, S(a) = sum_l (2l+1) |j_l(a)| >= |W_i|/w_i, and R =
+    max_i |W_i|/w_i as computed (measured <= 1.24, about S/3 past a = 300).
+
+    * Interpolation: E - I E = ell(x) E[x_1..x_32, x], where ell = P_32
+      over its leading coefficient is at most 2**32 (32!)**2/64! on [-1,
+      1], and the divided difference is E^(32)(xi)/32! <= max|E|/r**32 on
+      the disc of radius r about xi (Cauchy).  There |Im s| <= r half, so
+      |E| <= M exp(kappa**2 r**2); r = 4/kappa gives a panel at most 2 half
+      M |ell| (e kappa**2/16)**16, and all p (2 p kappa/sqrt(pi)) |ell| (e
+      kappa**2/16)**16 of the mass (below 1e-33 at kappa = 0.375).
+    * Rounding: the nodes carry u|s| + 2 u half, so the exponent errs by
+      9 u k**2 s**2 + 2 u kappa**2, and exp by 2 ulps (measured 1.12 u).
+      With the 32-term product they cost R sum_i w_i E_i (36 + 9 k**2
+      s_i**2 + 2 kappa**2) u; as Gauss-Legendre sums E and k**2 s**2 E to
+      the mass and half of it, 43 u R covers them and all products of
+      terms.  A panel's exact value is at most its sum_i w_i E_i, so its
+      anchor (2**-50 rad, 8 u), cos and sin (2 u), rotation (2 u), factor
+      half (u) and a, rounded by 4.4 u |a| (by parts, 4.4 u (2 + 2
+      kappa/sqrt(pi)) of the mass), add 24 u; the panel sum adds p u.
+    * Weights: sum_i |W_i - exact| <= 2 eps S(a) (checked with mpmath,
+      measured 0.78 eps); against each panel's largest E_i, summing to at
+      most 1/2 + 2 kappa/sqrt(pi) < 1 of the mass, that is 2 eps S.
     """
-    s = np.concatenate([c[:, None] + half * _GL_NODES for c, half in grids])
-    residuals = [_center_residuals(k, n) for n in orders]
-    res = np.array(residuals)[:, :, None, None]  # mu, sigma, c0, c1 per order
-    env = np.exp(-(k * k) * s * s + res[:, 2] + res[:, 3] * s)
+    centers, half = grid
+    s = centers[:, None] + half * _GL_NODES
+    res = np.array([_center_residuals(k, n) for n in orders])[:, :, None, None]
+    env = np.exp(-(k * k) * s * s + res[:, 2] + res[:, 3] * s)  # res: mu, sigma, c0, c1
     harmonics = [h for h, _ in components]
-    rotation = np.exp(1j * _phase_anchors(k, res[:, 0, 0, 0], harmonics, grids))
+    rotation = np.exp(1j * _phase_anchors(k, res[:, 0, 0, 0], harmonics, grid))
     rotation = rotation.reshape(len(orders), -1, len(harmonics))
     omega = np.array([_omega_s(k, h) for h in harmonics])
     sine = np.array([kind == "sine" for _, kind in components])
-    out = []
-    rows = 0
-    for c, half in grids:
-        jn = np.array([_spherical_jn(a) for a in (omega * half).tolist()]).T
-        here = slice(rows, rows + c.size)
-        rows += c.size
-        # one small product per order, as a stack: no result is shared
-        z = rotation[:, here] * (env[:, here] @ (_FILON_MATRIX @ jn))
-        out.append(half * np.where(sine, z.imag, z.real))
-    weight_error = 2.0 * _EPS * (_TWO_L_PLUS_1 @ np.abs(jn))
-    return [sigma for _, sigma, _, _ in residuals], out[0], out[1], weight_error
+    jn = np.array([_spherical_jn(a) for a in (omega * half).tolist()]).T
+    weights = _FILON_MATRIX @ jn
+    # one small product per order, as a stack: no result is shared
+    z = rotation * (env @ weights)
+    reach = np.max(np.hypot(weights.real, weights.imag) / _GL_WEIGHTS[:, None], axis=0)  # R
+    spread = _TWO_L_PLUS_1 @ np.abs(jn)  # S(a)
+    kappa, p = k * half, centers.size
+    interpolation = 2.0 * _INV_SQRT_PI * p * kappa * _ELL * (math.e / 16.0 * kappa * kappa) ** 16
+    per_mass = interpolation + (43.0 * reach + 24.0 + p) * _U + 2.0 * _EPS * spread
+    peak = np.exp(res[:, 2, 0] + (0.5 / k * res[:, 3, 0]) ** 2)
+    return res[:, 1, 0, 0].tolist(), half * np.where(sine, z.imag, z.real), peak * per_mass
 
 
-def _each_order(k, orders, components, grids, result):
-    """``result(sigma, coarse, fine, weight_error)`` per order, from blocks of
-    orders whose panel rows x (nodes + components) stay within
-    ``_BLOCK_ELEMENTS``."""
-    rows = sum(c.size for c, _ in grids)
-    size = max(1, _BLOCK_ELEMENTS // (rows * (_NODES_PER_PANEL + len(components))))
+def _each_order(k, orders, components, grid, result):
+    """``result(sigma, partials, bound)`` per order, in blocks of ``_BLOCK_ELEMENTS``."""
+    size = max(1, _BLOCK_ELEMENTS // (grid[0].size * (_NODES_PER_PANEL + len(components))))
     for i in range(0, len(orders), size):
-        *parts, weight_error = _panel_integrals(k, orders[i : i + size], components, grids)
-        for sigma, coarse, fine in zip(*parts):
-            yield result(sigma, coarse, fine, weight_error)
+        for parts in zip(*_panel_integrals(k, orders[i : i + size], components, grid)):
+            yield result(*parts)
 
 
 def _plan_components(k, orders, modes, spec: QuadratureSpec):
     """Check the orders and plan the base and every mode; returns the
-    checked orders, the truncation T and the coarse and fine passes'
-    ``_panel_grid`` pairs, or raises BudgetExceededError.
+    checked orders, the truncation T and the ``_panel_grid`` pair, or
+    raises BudgetExceededError.
 
     Phases fold exactly at any harmonic, but above 2**53 ``_omega_s``
     rounds it, and a non-finite ``a = omega * half`` cannot be integrated
@@ -397,12 +403,11 @@ def _plan_components(k, orders, modes, spec: QuadratureSpec):
     T = spec.truncation or math.sqrt(math.log(10.0 / spec.rel_tol)) / k
     if not math.isfinite(T * k):
         raise BudgetExceededError(f"cannot integrate at k={k!r}: window T={T} has no panel count")
-    # panels of width <= 0.75/k keep the Gaussian spectrally converged under
-    # 32-node Gauss-Legendre; the fine pass has 1.5x as many
+    # panels of width <= 0.75/k (kappa <= 0.375) put the interpolation
+    # error far below rounding (see _panel_integrals)
     p = max(8, math.ceil(2.0 * T * k / 0.75))
-    counts = (p, math.ceil(1.5 * p))
     components = 1 + len(modes)
-    per_component = _NODES_PER_PANEL * sum(counts)
+    per_component = _NODES_PER_PANEL * p
     total = components * per_component
     if total > spec.node_budget:
         raise BudgetExceededError(
@@ -410,11 +415,9 @@ def _plan_components(k, orders, modes, spec: QuadratureSpec):
             f"({per_component} each), budget is {spec.node_budget}. "
             "Raise node_budget or use fewer modes."
         )
-    grids = [_panel_grid(T, count) for count in counts]
+    grid = _panel_grid(T, p)
     for _, harmonic, _ in modes:
-        if harmonic > _MAX_HARMONIC or not math.isfinite(
-            _omega_s(k, harmonic) * grids[0][1]
-        ):
+        if harmonic > _MAX_HARMONIC or not math.isfinite(_omega_s(k, harmonic) * grid[1]):
             raise BudgetExceededError(
                 f"harmonic {harmonic} at k={k} cannot be integrated: quadrature "
                 "needs harmonic <= 2**53 and a finite oscillation per panel"
@@ -427,10 +430,12 @@ def _plan_components(k, orders, modes, spec: QuadratureSpec):
             f"cannot integrate order n={n} at k={k!r}: eps * (n+1)**2/(4 k**2), "
             "the granularity of the log-scaled value, is >= 1"
         )
-    return orders, T, grids
+    return orders, T, grid
 
 
 _EPS = 2.220446049250313e-16
+_U = 0.5 * _EPS
+_ELL = 2**32 * math.factorial(32) ** 2 / math.factorial(64)  # max |P_32| / its lead
 # panel rows x (nodes + components) of one block of orders: keeps a block's
 # arrays near 1 MB at any order count, and each product on one BLAS thread
 _BLOCK_ELEMENTS = 2**15
@@ -487,7 +492,7 @@ def _integrate_orders(obj, orders, spec: QuadratureSpec = QuadratureSpec()):
     k = weight.k
     if lam == 0.0:
         modes = []
-    orders, T, grids = _plan_components(k, orders, modes, spec)
+    orders, T, grid = _plan_components(k, orders, modes, spec)
 
     amps = np.array([1.0] + [lam * a for a, _, _ in modes])
     abs_amps = np.abs(amps)
@@ -495,30 +500,25 @@ def _integrate_orders(obj, orders, spec: QuadratureSpec = QuadratureSpec()):
     rel_tail = (1.0 + abs(lam) * sup) * math.erfc(k * T)
     series_tail = _series_tail(obj)
 
-    def result(sigma, coarse, fine, weight_error):
-        parts = fine.sum(axis=0)
+    def result(sigma, partials, bound):
+        parts = partials.sum(axis=0)
         total = float(amps @ parts)
-        dj_total = float(abs_amps @ np.abs(parts - coarse.sum(axis=0)))
         i_hat = (k * _INV_SQRT_PI) * total
-        # the value is stored as sigma + ln|i_hat|, so value_over_scale()
-        # carries ~eps * |sigma| of representation error on top of quadrature
-        rel_quad = (
-            max((k * _INV_SQRT_PI) * dj_total, 8.0 * _EPS)
-            + float(abs_amps @ weight_error)
-            + _EPS * abs(sigma)
-        )
+        # the sum over components, i_hat, exp and log cost (components + 8) u of
+        # sum |amp part|; sigma and sigma + ln|i_hat| cost u |sigma| sum |amp| each
+        rounding = (amps.size + 8) * _U * (k * _INV_SQRT_PI) * float(abs_amps @ np.abs(parts))
         return QuadratureResult(
             value=_log_value(sigma, i_hat),
             ln_scale=sigma,
-            rel_quad_error=rel_quad,
+            rel_quad_error=float(abs_amps @ (bound + _EPS * abs(sigma))) + rounding,
             rel_tail_error=rel_tail,
             series_tail_budget=series_tail,
-            nodes_used=_NODES_PER_PANEL * (coarse.size + fine.size),
+            nodes_used=_NODES_PER_PANEL * partials.size,
             truncation=T,
         )
 
     components = [(0, "cosine")] + [(h, kind) for _, h, kind in modes]
-    return _each_order(k, orders, components, grids, result)
+    return _each_order(k, orders, components, grid, result)
 
 
 def vanishing_integral(
@@ -546,28 +546,25 @@ def _vanishing_orders(w, orders, j, spec: QuadratureSpec = QuadratureSpec()):
         raise ValueError(f"expected a LogNormalWeight, got {w!r}")
     j = _check_int(j, "sine harmonic j", 1)
     k = w.k
-    orders, T, grids = _plan_components(k, orders, [(1.0, j, "sine")], spec)
+    orders, T, grid = _plan_components(k, orders, [(1.0, j, "sine")], spec)
 
     inv_scale = k / math.sqrt(math.pi)
 
-    def result(sigma, coarse, fine, weight_error):
-        j_sin = float(fine.sum())
-        dj = abs(j_sin - float(coarse.sum()))
+    def result(sigma, partials, bound):
+        j_sin = float(partials.sum())
         return QuadratureResult(
             value=_log_value(sigma, j_sin),
             ln_scale=sigma + math.log(math.sqrt(math.pi) / k),
-            # the stored sigma + ln|j_sin| is off by ~eps * |sigma| relative
-            # to the value itself, which is near 0 here, not near the scale
-            rel_quad_error=max(inv_scale * dj, 8.0 * _EPS)
-            + float(weight_error[0])
-            + _EPS * abs(sigma) * inv_scale * abs(j_sin),
+            # the stored sigma + ln|j_sin| is off by ~eps * |sigma| of the
+            # value itself, near 0 here; its other roundings are as small
+            rel_quad_error=float(bound[0]) + _EPS * abs(sigma) * inv_scale * abs(j_sin),
             rel_tail_error=math.erfc(k * T),
             series_tail_budget=0.0,
-            nodes_used=_NODES_PER_PANEL * (coarse.size + fine.size),
+            nodes_used=_NODES_PER_PANEL * partials.size,
             truncation=T,
         )
 
-    return _each_order(k, orders, [(j, "sine")], grids, result)
+    return _each_order(k, orders, [(j, "sine")], grid, result)
 
 
 def base_moment_closed_form(w: LogNormalWeight, n: int) -> LogScaled:

@@ -289,19 +289,19 @@ def gl_component(k, n, harmonic, kind, rel_tol=1e-12):
     Built on the package's panel kernel ``_kernels.gauss_panels`` and its
     centering and phase anchors, with the old panel plan: at most 3
     oscillation periods per 32-node panel (>= 10 nodes per period), and
-    the fine pass at 1.5x the panel count.  Its cost grows with the
+    1.5x that panel count.  Its cost grows with the
     harmonic, so keep harmonics modest.  ``kind`` is "sine" or "cosine".
     """
     from qmoments import _kernels
     from qmoments import quadrature as qd
 
-    _, T, ((smooth, _), _) = qd._plan_components(k, [n], [], qd.QuadratureSpec(rel_tol=rel_tol))
+    _, T, (smooth, _) = qd._plan_components(k, [n], [], qd.QuadratureSpec(rel_tol=rel_tol))
     mu, _, c0, c1 = qd._center_residuals(k, n)
     omega = qd._omega_s(k, harmonic)
     periods = abs(omega) * T / math.pi
     p = max(smooth.size, math.ceil(periods / 3.0))
     centers, half = qd._panel_grid(T, math.ceil(1.5 * p))
-    phase0 = qd._phase_anchors(k, mu, [harmonic], [(centers, half)])[:, 0]
+    phase0 = qd._phase_anchors(k, mu, [harmonic], (centers, half))[:, 0]
     nodes, weights = np.polynomial.legendre.leggauss(32)
     code = 1 if kind == "sine" else 2
     partials = _kernels.gauss_panels(
@@ -340,6 +340,48 @@ def mp_spherical_jn(l, x):
         return 1.0 if l == 0 else 0.0
     x = mpmath.mpf(x)
     return float(mpmath.sqrt(mpmath.pi / (2 * x)) * mpmath.besselj(l + 0.5, x))
+
+
+def mp_gauss_legendre(dps=40):
+    """The 32 Gauss-Legendre nodes and weights at ``dps`` digits.
+
+    Newton's method on P_32 from numpy's nodes, then w_i = 2 / ((1 -
+    x_i**2) P_32'(x_i)**2); P_32 and P_31 by the three-term recurrence.
+    """
+    def legendre_pair(t):  # P_31(t), P_32(t)
+        prev, cur = mpmath.mpf(1), t
+        for l in range(1, 32):
+            prev, cur = cur, ((2 * l + 1) * t * cur - l * prev) / (l + 1)
+        return prev, cur
+
+    nodes, weights = [], []
+    with mpmath.workdps(dps):
+        for x0 in np.polynomial.legendre.leggauss(32)[0].tolist():
+            x = mpmath.mpf(x0)
+            for _ in range(6):
+                p31, p32 = legendre_pair(x)
+                x -= p32 / (32 * (p31 - x * p32) / (1 - x * x))
+            p31, _ = legendre_pair(x)
+            nodes.append(x)
+            weights.append(2 * (1 - x * x) / (32 * p31) ** 2)
+    return nodes, weights
+
+
+def mp_filon_weights(a, nodes, weights, dps=40):
+    """W_i(a) = w_i sum_{l<32} (2l+1) i**l j_l(a) P_l(x_i) at exact nodes;
+    negative a uses j_l(-a) = (-1)**l j_l(a)."""
+    with mpmath.workdps(dps):
+        x = mpmath.mpf(abs(a))
+        jn = [(-1 if a < 0 and l % 2 else 1) * mpmath.sqrt(mpmath.pi / (2 * x))
+              * mpmath.besselj(l + 0.5, x) if a else mpmath.mpf(l == 0) for l in range(32)]
+        out = []
+        for x, w in zip(nodes, weights):
+            p_prev, p, total = mpmath.mpf(1), x, jn[0]
+            for l in range(1, 32):
+                total += (2 * l + 1) * mpmath.mpc(0, 1) ** l * jn[l] * p
+                p_prev, p = p, ((2 * l + 1) * x * p - l * p_prev) / (l + 1)
+            out.append(w * total)
+        return out
 
 
 def dd_log_series(x):

@@ -59,8 +59,10 @@ def test_block_equals_one_order_calls(form, per_block, monkeypatch):
     block_form, one_order, components = FORMS[form]
     expected = [one_order(n) for n in ORDERS]
     if per_block is not None:
-        # 38 panel rows per order at the default tolerance
-        rows = 38 * (qd._NODES_PER_PANEL + components)
+        # the planned panel rows per order, the same for every k at the
+        # default tolerance
+        _, _, (centers, _) = qd._plan_components(1.0, [0], [], qd.QuadratureSpec())
+        rows = centers.size * (qd._NODES_PER_PANEL + components)
         monkeypatch.setattr(qd, "_BLOCK_ELEMENTS", per_block * rows)
     blocks = counting(monkeypatch, "_panel_integrals")
     got = list(block_form(ORDERS))

@@ -1,7 +1,7 @@
 """End-to-end checks of the command line battery.
 
 Everything runs in process through ``main(argv)``, where one quadrature
-call evaluates both passes and all components of an integral; the
+call evaluates all components of an integral on one panel grid; the
 exit-code contract and both output formats are exercised against real
 runs.
 """
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qmoments
-from qmoments import MOMENT_SIGN_NOTE, modulator_from_dict
+from qmoments import MOMENT_SIGN_NOTE, modulator_from_dict, quadrature
 from qmoments.cli import SCHEMA_VERSION, _cases_or_refusals, main
 from qmoments.quadrature import modulator_moment_factor
 
@@ -128,14 +128,36 @@ class TestModulatorInput:
 
 class TestExitCodes:
     def test_failed_case_exits_one(self, tmp_path):
+        # the window of --rel-tol 1e-2 drops a Gaussian tail of 2.0e-4, far
+        # past the default tolerance of 1e-10 whatever the rounding
         code, rep = run_json(
             tmp_path,
-            ["vanish", "--k", "1", "--n", "0..0", "--j", "2..2",
-             "--tolerance", "1e-18"],
+            ["moments", "--k", "1", "--n", "0..0", "--rel-tol", "1e-2"],
         )
         assert code == 1
         assert rep["summary"]["failed"] == 1
         assert rep["cases"][0]["pass"] is False
+
+    def test_planted_anchor_defect_fails_the_vanish_case(self, tmp_path, monkeypatch):
+        # Nothing cross-checks the phase anchors at run time, so a
+        # defect there must show as a FAIL: every other panel's anchor
+        # moved by 1e-6 rad leaves 1.2e-7 of the scale, a number with a
+        # bound, not a PASS and not a refusal.
+        anchors = quadrature._phase_anchors
+
+        def shifted(*args):
+            out = anchors(*args)
+            out[::2] += 1e-6
+            return out
+
+        monkeypatch.setattr(quadrature, "_phase_anchors", shifted)
+        code, rep = run_json(
+            tmp_path, ["vanish", "--k", "0.5", "--n", "0..0", "--j", "1..1"]
+        )
+        assert code == 1
+        [case] = rep["cases"]
+        assert case["pass"] is False and "reason" not in case["inputs"]
+        assert abs(case["value"]) > case["tolerance"] > case["error_estimate"]
 
     def test_malformed_modulator_json(self, capsys):
         code = main(["moments", "--modulator", '{"k": 1.0, "lambda": }'])
@@ -181,16 +203,17 @@ class TestExitCodes:
         assert bound in capsys.readouterr().err
 
     def test_budget_exceeded_is_a_failed_case(self, tmp_path, capsys):
-        # Every component costs the same 1216 nodes at the default
-        # rel_tol, so 60 000 modes (more than 55 188) need more nodes than
-        # the default budget of 2^26 allows; the sweep must report that,
-        # not crash, one failed case per order under the order's own id,
-        # although the block of orders is refused as a whole.
+        # At --rel-tol 1e-300 (kT = 26.3, 71 panels) every component costs
+        # the same 2272 nodes, so 60 000 modes (more than 29 537) need more
+        # nodes than the default budget of 2^26 allows; the sweep must
+        # report that, not crash, one failed case per order under the
+        # order's own id, although the block of orders is refused as a whole.
         modes = [{"a": 1.0, "b": b, "kind": "sine"} for b in range(1, 60_001)]
         mod = tmp_path / "many_modes.json"
         mod.write_text(json.dumps({"k": 1.0, "lambda": 1e-5, "modes": modes}))
         code, rep = run_json(
-            tmp_path, ["moments", "--modulator", str(mod), "--n", "0..2"]
+            tmp_path, ["moments", "--modulator", str(mod), "--n", "0..2",
+                       "--rel-tol", "1e-300"]
         )
         assert code == 1
         assert [c["id"] for c in rep["cases"]] == [

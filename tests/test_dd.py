@@ -41,6 +41,27 @@ class TestErrorFreeTransforms:
         p, e = _dd.two_prod(sa * a, sb * b)
         assert mpmath.mpf(p) + mpmath.mpf(e) == mpmath.mpf(sa * a) * mpmath.mpf(sb * b)
 
+    # the largest double whose (2**27 + 1)-fold is finite
+    SPLIT_EDGE = 1.3393857490036325e300
+
+    @pytest.mark.parametrize("b", [1.3, -1.0000000000000002, 7.5e-300, 3.0e7])
+    def test_two_prod_exact_just_inside_its_domain(self, b):
+        for a in (self.SPLIT_EDGE, -self.SPLIT_EDGE):
+            p, e = _dd.two_prod(a, b)
+            assert Fraction(p) + Fraction(e) == Fraction(a) * Fraction(b)
+        # binary exponents summing to -970, the underflow edge
+        a, b = math.ldexp(1.9999999999999998, -500), math.ldexp(1.3333333333333333, -470)
+        p, e = _dd.two_prod(a, b)
+        assert Fraction(p) + Fraction(e) == Fraction(a) * Fraction(b)
+
+    def test_two_prod_past_the_split_edge_is_nan(self):
+        a = math.nextafter(self.SPLIT_EDGE, math.inf)
+        for b in (1.3, 1.0, 2.0**-900):
+            p, e = _dd.two_prod(a, b)
+            assert math.isfinite(p) and math.isnan(e)
+            p, e = _dd.two_prod(b, -a)
+            assert math.isnan(e)
+
     def test_vectorized_matches_scalar(self):
         a = np.array([1.0, 1e15, -3.7, 0.1])
         b = np.array([1e-16, -1.0, 3.7, 0.2])

@@ -316,6 +316,17 @@ def test_error_estimate_covers_log_scale_granularity(n):
     assert abs(r.value_over_scale() - factor) <= r.error_estimate
 
 
+@pytest.mark.parametrize("k, lam, n", [(0.1, 0.9, 12), (0.1, 0.99, 72), (0.15, 0.9, 9),
+                                       (0.15, 0.9, 54)])
+def test_log_scale_granularity_scales_with_the_factor(k, lam, n):
+    # A cosine mode at small k lifts every moment by up to 1.67x, and the
+    # eps * sigma rounding of the log-scaled value grows with it: eps *
+    # sigma of the scale alone missed each of these by 2-37%.
+    d = density(k, lam, [(1.0, 1, "cosine")])
+    r = integrate_moment(d, n)
+    assert abs(r.value_over_scale() - modulator_moment_factor(d.modulator)) <= r.error_estimate
+
+
 def test_vanishing_error_estimate_scales_granularity_by_value():
     # A vanishing integral's value is ~0, so its eps * sigma representation
     # error is relative to that value, not to the scale; adding eps * sigma
