@@ -59,8 +59,8 @@ def two_sum(a, b):
 def _split(a):
     """Veltkamp split a = hi + lo, hi with 26 significant bits, lo with 27."""
     t = _SPLITTER * a
-    hi = t - (t - a)
-    return hi, a - hi
+    t -= t - a
+    return t, a - t
 
 
 def two_prod(a, b):
@@ -69,8 +69,12 @@ def two_prod(a, b):
     overflows and e is NaN) and their binary exponents sum to >= -970."""
     p = a * b
     ahi, alo = _split(a)
-    bhi, blo = _split(b)
-    e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+    bhi, blo = (ahi, alo) if b is a else _split(b)
+    e = ahi * bhi
+    e -= p
+    e += ahi * blo
+    e += alo * bhi
+    e += alo * blo
     return p, e
 
 
@@ -92,10 +96,10 @@ def dd_mul(xh, xl, yh, yl):
 
 def dd_mul_d(xh, xl, y):
     p, e = two_prod(xh, y)
-    e = e + xl * y
+    e += xl * y
     h = p + e
-    l = e - (h - p)
-    return h, l
+    e -= h - p
+    return h, e
 
 
 def dd_div(xh, xl, yh, yl):
@@ -110,10 +114,19 @@ def dd_div(xh, xl, yh, yl):
 
 def dd_sq(xh, xl):
     p, e = two_prod(xh, xh)
-    e = e + 2.0 * (xh * xl)
+    e += 2.0 * (xh * xl)
     h = p + e
-    l = e - (h - p)
-    return h, l
+    e -= h - p
+    return h, e
+
+
+def _horner(x, coeffs):
+    """x * (c0 + x * (c1 + ... + x * cn)), rounded as nested, in one array."""
+    p = x * coeffs[-1]
+    for c in coeffs[-2::-1]:
+        p += c
+        p *= x
+    return p
 
 
 # Coefficients 1/(2n+1) of the atanh series, as (hi, lo) pairs.
@@ -156,6 +169,7 @@ _TABLE_SCALE = 1024.0
 _TABLE_FIRST = int(np.rint(_SQRT_HALF * _TABLE_SCALE))  # and rint(1024 sqrt 2) = 1448
 _TABLE_C = np.arange(_TABLE_FIRST, 2 * _TABLE_FIRST + 1) / _TABLE_SCALE
 _LN_TABLE_HI, _LN_TABLE_LO = _log_ratio(_TABLE_C, 1.0, 24)
+_LN2_HI_A, _LN2_HI_B = _split(LN2_HI)  # each times an exponent |e| <= 1075 is exact
 
 
 def dd_log(x):
@@ -171,12 +185,13 @@ def dd_log(x):
     remainder; z**5..z**9 are float64.  Input must be positive and finite.
     """
     x = np.asarray(x, dtype=np.float64)
-    m, e = np.frexp(x)
-    # Recenter the mantissa into [sqrt(1/2), sqrt(2)); doubling is exact.
-    low = m < _SQRT_HALF
+    f, e = np.frexp(x)
+    # Recenter the mantissa m into [sqrt(1/2), sqrt(2)); doubling is exact.
+    low = f < _SQRT_HALF
     e = (e - low).astype(np.float64)
-    f = (m + m * low) * _TABLE_SCALE - _TABLE_FIRST  # exact: bits to 2**-43
-    del m, low  # here and below: dead arrays go at once, to keep the peak low
+    f = np.ldexp(f, low)
+    f *= _TABLE_SCALE
+    f -= _TABLE_FIRST  # exact: bits to 2**-43
     j = np.rint(f)
     f -= j  # 1024 (m - c), exact
     idx = j.astype(np.intp)
@@ -186,8 +201,13 @@ def dd_log(x):
     dl = f - (dh - j)
     z = f / dh
     p, pe = two_prod(z, dh)
-    z2 = ((f - p) - pe - z * dl) / dh
-    del j, f, p, pe, dl, dh
+    f -= p
+    f -= pe
+    dl *= z
+    f -= dl
+    f /= dh
+    z2 = f  # ((f - p) - pe - z dl) / dh
+    del j, p, pe, dl, dh  # here and below: dead arrays go at once, to keep the peak low
     # zh**3 = g1 + g2 exactly, and g1 = 3 q + rem with rem exact
     zh, zl = _split(z)
     sq = zh * zh
@@ -199,23 +219,35 @@ def dd_log(x):
     q = g1 / 3.0
     s = q + q + q
     rem = (g1 - s) - (q - (s - (q + q)))
-    s = z * z
     g1 += br
-    g1 *= s * (0.4 + s * (2.0 / 7.0 + s * (2.0 / 9.0)))  # (2/5) z**5 + ...
+    g1 *= _horner(z * z, (0.4, 2.0 / 7.0, 2.0 / 9.0))
     # 2 atanh z = 2 (z + q) + 2 z2 + (2/3)(rem + br) + ..., the first sum exact
     lh = z + q
     ll = 2.0 * ((q - (lh - z)) + z2) + (2.0 / 3.0) * (rem + br) + g1
     lh *= 2.0
     del s, z, z2, q, rem, br, g1
     # ln x = e ln 2 + ln c + 2 atanh z; each sum's first term is the larger
-    th = _LN_TABLE_HI[idx]
+    th = _LN_TABLE_HI.take(idx)
     s = th + lh  # error lh - (s - th): |ln c| >= 9.7e-4 > |lh|, or ln c = 0
-    eh, el = two_prod(e, LN2_HI)
+    th -= s  # a - (b - c) as (c - b) + a, the same bits while no a is -0
+    th += lh  # lh - (s - th); neither lh nor s is ever -0
+    eh = e * LN2_HI  # two_prod(e, LN2_HI), whose split of e is (e, 0)
+    el = e * _LN2_HI_A
+    el -= eh
+    el += e * _LN2_HI_B
     h = eh + s
-    lo = ((s - (h - eh)) + (lh - (s - th)) + _LN_TABLE_LO[idx]
-          + ll + el + e * LN2_LO)
+    lo = eh
+    lo -= h
+    lo += s
+    lo += th
+    lo += _LN_TABLE_LO.take(idx)
+    lo += ll
+    lo += el
+    e *= LN2_LO
+    lo += e  # (s - (h - eh)) + (lh - (s - th)) + ln c lo + ll + el + e LN2_LO
     hi = h + lo
-    return hi, lo - (hi - h)
+    lo -= hi - h
+    return hi, lo
 
 
 def dd_exp_to_double(xh, xl):
@@ -229,18 +261,27 @@ def dd_exp_to_double(xh, xl):
     return np.exp(xh) * (1.0 + xl)
 
 
-_M32, _S32, _S63 = np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(63)
+_M32, _S32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 
 
 def _float_phase(x):
     """frac(x) of a float64 x as a phase, truncated below 2**-128."""
-    f = np.atleast_1d(x - np.trunc(x))  # exact, with the sign of x
-    neg = f.view(np.uint64) >> _S63  # 1 where w is 2**128 minus the magnitude
-    f = np.abs(f) * 2.0**64
+    x = np.atleast_1d(x)
+    f = np.trunc(x)
+    np.subtract(x, f, out=f)  # exact, with the sign of x
+    neg = (f.view(np.int64) >> 63).view(np.uint64)  # all ones where f < 0
+    np.abs(f, out=f)
+    f *= 2.0**64
     t = np.trunc(f)
-    w1, w0 = t.astype(np.uint64), ((f - t) * 2.0**64).astype(np.uint64)
-    w0 = (w0 ^ -neg) + neg  # two's complement of both words where neg
-    return (w1 ^ -neg) + (neg & (w0 == 0)), w0
+    f -= t
+    f *= 2.0**64
+    w1, w0 = t.astype(np.uint64), f.astype(np.uint64)
+    w0 ^= neg  # two's complement of both words where neg: flip, add one
+    w0 -= neg
+    w1 ^= neg
+    neg &= w0 == 0  # 1 where the low word's carry reaches the high word
+    w1 += neg
+    return w1, w0
 
 
 def phase_from_dd(xh, xl):
@@ -251,8 +292,10 @@ def phase_from_dd(xh, xl):
     is in ``xl``.
     """
     (w1, w0), (v1, v0) = _float_phase(xh), _float_phase(xl)
-    lo = w0 + v0
-    return w1 + v1 + (lo < w0), lo
+    v0 += w0
+    w1 += v1
+    w1 += v0 < w0
+    return w1, v0
 
 
 def fold_harmonic(w, h):
@@ -303,9 +346,11 @@ def phase_sin(w1):
     rho = (w1 & np.uint64(2**56 - 1)).view(np.int64) * (TWO_PI_HI * 2.0**-64)
     r2 = rho * rho
     s = _SIN_TABLE.take(j)
-    out = r2 * (-0.5 + r2 * (1.0 / 24.0 - r2 * (1.0 / 720.0)))
+    out = _horner(r2, (-0.5, 1.0 / 24.0, -1.0 / 720.0))
     out *= s
-    rho *= 1.0 + r2 * (-1.0 / 6.0 + r2 * (1.0 / 120.0 - r2 * (1.0 / 5040.0)))
+    sin_poly = _horner(r2, (-1.0 / 6.0, 1.0 / 120.0, -1.0 / 5040.0))
+    sin_poly += 1.0
+    rho *= sin_poly
     rho *= _COS_TABLE.take(j)
     out += rho
     out += s

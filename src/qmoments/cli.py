@@ -294,9 +294,9 @@ def run_pearson(ns) -> list:
 
 
 def _qderiv_case(tag, m, xs, tolerance) -> list:
-    # Forming q*x in float64 perturbs ln x by ~1.25 eps; no double
-    # precision evaluation can beat the resulting phase noise, so that
-    # floor is subtracted before the residual is judged.
+    # q_derivative takes g(q*x) from ln x + ln q in double-double, so no
+    # rounded q*x enters; the floor a float64 q*x would need (~1.25 eps of
+    # ln x) is still subtracted, conservative until a derived one replaces it.
     k, q = m.weight.k, m.weight.q
     inputs = _sample_inputs(k, xs)
 

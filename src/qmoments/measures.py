@@ -91,9 +91,8 @@ def _as_positive_array(x, name: str = "x"):
     scalar = arr.ndim == 0
     if scalar:
         arr = arr.reshape(1)
-    bad = ~np.isfinite(arr) | (arr <= 0.0)
-    if np.any(bad):
-        offender = arr[bad][0]
+    if arr.size and not (arr.min() > 0.0 and arr.max() < math.inf):
+        offender = arr[~np.isfinite(arr) | (arr <= 0.0)][0]
         raise ValueError(f"{name} must be positive and finite, got {offender!r}")
     return arr, scalar
 
@@ -373,8 +372,8 @@ def _base_phase(k: float, th, tl):
     _lnq_dd(k)  # refuses a k whose k**2 or ln q is not a finite double
     kh, kl = _dd.two_prod(k, k)
     uh, ul = _dd.dd_mul_d(th, tl, -2.0 * kh)
-    far = np.abs(uh) >= _MAX_PHASE
-    if np.any(far):
+    if uh.size and (uh.max() >= _MAX_PHASE or uh.min() <= -_MAX_PHASE):
+        far = np.abs(uh) >= _MAX_PHASE
         raise BudgetExceededError(f"k={k!r}: at ln x = {float(th[far][0])!r} the "
                                   "phase 2 k**2 |ln x| is >= 2**104 and has no bit left")
     ul += th * (-2.0 * kl)
@@ -387,7 +386,9 @@ def _modulator_from_phase(m: Modulator, w):
         top = _dd.fold_harmonic(w, harmonic)[0]
         if kind == "cosine":
             top += np.uint64(2**62)  # a quarter turn: cos(2 pi w) = sin(2 pi (w + 1/4))
-        acc += amp * _dd.phase_sin(top)
+        s = _dd.phase_sin(top)
+        s *= amp
+        acc += s
     return acc
 
 

@@ -16,7 +16,9 @@ and :func:`q_derivative` documents itself through the
 
 q-periodic modulators satisfy ``g(q*x) = g(x)``, so ``D_q g = 0``
 identically; this annihilation is what makes the perturbed densities
-share every integer moment with the base weight.
+share every integer moment with the base weight.  For a modulator at its
+own q, :func:`q_derivative` takes g(q*x) from ``ln x + ln q`` in
+double-double, so no rounded ``q*x`` enters.
 
 The weight itself satisfies the q-Pearson difference equation
 
@@ -38,6 +40,7 @@ from typing import Callable
 from . import _dd
 from .measures import (
     LogNormalWeight,
+    Modulator,
     PerturbedDensity,
     _as_positive_array,
     _lnq_dd,
@@ -67,12 +70,23 @@ def q_derivative(g: Callable, x, q: float):
     ``g`` is any callable accepting the same shape as x.  Note the sign:
     this evaluates to -1 for the identity map, and to -g'(x) in the
     q -> 1 limit for differentiable g.
+
+    A :class:`Modulator` at its own q (``q == g.weight.q``) takes g(q*x)
+    from the double-double sum ``ln x + ln q`` and its one ``ln x``; the
+    sum stays numerical, no whole turn is added.  Any other callable, or
+    any other q, is evaluated at the float64 product ``q*x``.
     """
     q = float(q)
     if not (0.0 < q < 1.0):
         raise ValueError(f"q must lie strictly inside (0, 1), got {q!r}")
     arr, scalar = _as_positive_array(x)
-    val = (g(arr) - g(q * arr)) / ((q - 1.0) * arr)
+    if isinstance(g, Modulator) and q == g.weight.q:
+        th, tl = _dd.dd_log(arr)
+        sh, sl = _dd.dd_add(th, tl, *_lnq_dd(g.weight.k))
+        g_x = _modulator_from_log_dd(g, th, tl)
+        val = (g_x - _modulator_from_log_dd(g, sh, sl)) / ((q - 1.0) * arr)
+    else:
+        val = (g(arr) - g(q * arr)) / ((q - 1.0) * arr)
     if scalar:
         return QDerivativeSample(float(arr[0]), q, float(val[0]))
     return val

@@ -6,9 +6,15 @@ meaningful.  The mpmath routines run at 50 significant digits unless noted.
 The exceptions are the replaced paths, kept to compare each new method
 against the one it replaced: :func:`gl_component`, the composite
 Gauss-Legendre path that the Filon rule replaced,
-:func:`dd_log_series`, the untabulated double-double logarithm, and
+:func:`dd_log_series`, the untabulated double-double logarithm,
 :func:`dd_frac` with :func:`dd_fold_harmonic`, the double-double phase
-folding that 128-bit fixed-point phases replaced.
+folding that 128-bit fixed-point phases replaced, and
+:func:`dd_log_allocating`, :func:`float_phase_allocating`,
+:func:`phase_from_dd_allocating` and :func:`phase_sin_allocating` with
+their error-free products, the pointwise kernels as they were before they
+computed in place: the same arithmetic, one fresh array per operation; and
+:func:`as_positive_array_masked`, the input check that built its mask
+before any reduction.
 
 A second, algorithmically different quadrature (adaptive Simpson) lives
 here as well; it is practical only for integrands with modest oscillation
@@ -464,3 +470,126 @@ def dd_angle(wh, wl):
     from qmoments import _dd
 
     return _dd.TWO_PI_HI * wh + (_dd.TWO_PI_HI * wl + _dd.TWO_PI_LO * wh)
+
+
+def _split_allocating(a):
+    t = 134217729.0 * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def two_prod_allocating(a, b):
+    """Dekker's error-free product as the package first wrote it."""
+    p = a * b
+    ahi, alo = _split_allocating(a)
+    bhi, blo = _split_allocating(b)
+    e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+    return p, e
+
+
+def dd_mul_d_allocating(xh, xl, y):
+    p, e = two_prod_allocating(xh, y)
+    e = e + xl * y
+    h = p + e
+    return h, e - (h - p)
+
+
+def dd_sq_allocating(xh, xl):
+    p, e = two_prod_allocating(xh, xh)
+    e = e + 2.0 * (xh * xl)
+    h = p + e
+    return h, e - (h - p)
+
+
+def dd_log_allocating(x):
+    """The table-driven double-double ln x, one fresh array per operation.
+
+    Reads the package's ln c table, so it checks the arithmetic that runs
+    on top of the table, not the table itself.
+    """
+    from qmoments import _dd
+
+    x = np.asarray(x, dtype=np.float64)
+    m, e = np.frexp(x)
+    low = m < _dd._SQRT_HALF
+    e = (e - low).astype(np.float64)
+    f = (m + m * low) * _dd._TABLE_SCALE - _dd._TABLE_FIRST
+    j = np.rint(f)
+    f -= j
+    idx = j.astype(np.intp)
+    j = 2.0 * (j + _dd._TABLE_FIRST)
+    dh = j + f
+    dl = f - (dh - j)
+    z = f / dh
+    p, pe = two_prod_allocating(z, dh)
+    z2 = ((f - p) - pe - z * dl) / dh
+    zh, zl = _split_allocating(z)
+    sq = zh * zh
+    g1, g2 = _split_allocating(sq)
+    g1 *= zh
+    zl += z2
+    br = g2 * zh + 3.0 * zl * (sq + zh * zl)
+    q = g1 / 3.0
+    s = q + q + q
+    rem = (g1 - s) - (q - (s - (q + q)))
+    s = z * z
+    g1 += br
+    g1 *= s * (0.4 + s * (2.0 / 7.0 + s * (2.0 / 9.0)))
+    lh = z + q
+    ll = 2.0 * ((q - (lh - z)) + z2) + (2.0 / 3.0) * (rem + br) + g1
+    lh *= 2.0
+    th = _dd._LN_TABLE_HI[idx]
+    s = th + lh
+    eh, el = two_prod_allocating(e, _dd.LN2_HI)
+    h = eh + s
+    lo = ((s - (h - eh)) + (lh - (s - th)) + _dd._LN_TABLE_LO[idx]
+          + ll + el + e * _dd.LN2_LO)
+    hi = h + lo
+    return hi, lo - (hi - h)
+
+
+def float_phase_allocating(x):
+    """frac(x) of a float64 x as two uint64 words, the allocating form."""
+    f = np.atleast_1d(x - np.trunc(x))
+    neg = f.view(np.uint64) >> np.uint64(63)
+    f = np.abs(f) * 2.0**64
+    t = np.trunc(f)
+    w1, w0 = t.astype(np.uint64), ((f - t) * 2.0**64).astype(np.uint64)
+    w0 = (w0 ^ -neg) + neg
+    return (w1 ^ -neg) + (neg & (w0 == 0)), w0
+
+
+def phase_from_dd_allocating(xh, xl):
+    (w1, w0), (v1, v0) = float_phase_allocating(xh), float_phase_allocating(xl)
+    lo = w0 + v0
+    return w1 + v1 + (lo < w0), lo
+
+
+def phase_sin_allocating(w1):
+    """sin(2 pi w) from the top word, the allocating form."""
+    from qmoments import _dd
+
+    j = (w1 >> np.uint64(56)).view(np.int64)
+    rho = (w1 & np.uint64(2**56 - 1)).view(np.int64) * (_dd.TWO_PI_HI * 2.0**-64)
+    r2 = rho * rho
+    s = _dd._SIN_TABLE.take(j)
+    out = r2 * (-0.5 + r2 * (1.0 / 24.0 - r2 * (1.0 / 720.0)))
+    out *= s
+    rho *= 1.0 + r2 * (-1.0 / 6.0 + r2 * (1.0 / 120.0 - r2 * (1.0 / 5040.0)))
+    rho *= _dd._COS_TABLE.take(j)
+    out += rho
+    out += s
+    return out
+
+
+def as_positive_array_masked(x, name="x"):
+    """The input check of the pointwise evaluators, mask first."""
+    arr = np.asarray(x, dtype=np.float64)
+    scalar = arr.ndim == 0
+    if scalar:
+        arr = arr.reshape(1)
+    bad = ~np.isfinite(arr) | (arr <= 0.0)
+    if np.any(bad):
+        offender = arr[bad][0]
+        raise ValueError(f"{name} must be positive and finite, got {offender!r}")
+    return arr, scalar

@@ -152,9 +152,9 @@ def test_criterion_4_q_pearson_identity():
 
 def test_criterion_5_q_derivative_annihilation():
     # D_q g = 0 for every constructed modulator at 100 random points,
-    # within 1e-12 of scale, under 1 s.  Forming q*x in float64 perturbs
-    # ln x by ~1.25 eps; that input-quantization floor is subtracted
-    # since no double precision evaluation can beat it.
+    # within 1e-12 of scale, under 1 s.  q_derivative takes g(q*x) from
+    # ln x + ln q in double-double; the floor subtracted is still the one
+    # a float64 q*x would need (~1.25 eps of ln x), which is conservative.
     t0 = time.perf_counter()
     rng = np.random.default_rng(8262027)
     xs = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 100))

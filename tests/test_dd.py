@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from qmoments import _dd
 
+import oracles
 from oracles import dd_angle, dd_fold_harmonic, dd_frac, dd_log_series
 
 
@@ -449,3 +450,90 @@ class TestPhaseSin:
         old_err = max(abs(mpmath.mpf(float(g)) - r) for g, r in zip(old, ref))
         assert err <= old_err
         assert err < 2.5e-16
+
+
+def same_bits(got, want):
+    """Equal values, signs of zero included, and the same numpy type."""
+    got, want = tuple(got), tuple(want)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is type(w)
+        assert np.asarray(g).dtype == np.asarray(w).dtype
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+POSITIVE_DOUBLES = st.floats(min_value=5e-324, max_value=1.7976931348623157e308,
+                             allow_nan=False, allow_infinity=False)
+
+
+class TestInPlaceKernelsMatchAllocatingForms:
+    """The in-place kernels return the bits of the allocating forms they
+    replaced (tests/oracles.py): the arithmetic and its order are the same."""
+
+    @given(xs=st.lists(POSITIVE_DOUBLES, min_size=1, max_size=64))
+    @settings(max_examples=300, deadline=None)
+    def test_dd_log_over_the_positive_range(self, xs):
+        x = np.array(xs)
+        same_bits(_dd.dd_log(x), oracles.dd_log_allocating(x))
+
+    def test_dd_log_every_binary_exponent_and_table_cell(self):
+        rng = np.random.default_rng(41)
+        x = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)),
+                            np.ldexp(rng.uniform(0.5, 1.0, 2098), np.arange(-1073, 1025)),
+                            np.arange(724, 1449) / 1024.0,
+                            np.nextafter(np.arange(724, 1449) / 1024.0, 0.0)])
+        same_bits(_dd.dd_log(x), oracles.dd_log_allocating(x))
+
+    @pytest.mark.parametrize("x", [1.0, 2.0, 0.3, 5e-324, 1.7976931348623157e308])
+    def test_dd_log_of_python_floats_and_0d_arrays(self, x):
+        for arg in (x, np.float64(x), np.array(x)):
+            same_bits(_dd.dd_log(arg), oracles.dd_log_allocating(arg))
+        same_bits(_dd.dd_log([x]), oracles.dd_log_allocating([x]))
+
+    @given(tops=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    @settings(max_examples=300, deadline=None)
+    def test_phase_sin_of_random_top_words(self, tops):
+        w1 = np.array(tops, dtype=np.uint64)
+        same_bits([_dd.phase_sin(w1)], [oracles.phase_sin_allocating(w1)])
+
+    def test_phase_sin_table_edges(self):
+        j = np.arange(256, dtype=np.uint64) << np.uint64(56)
+        w1 = np.concatenate([j, j - np.uint64(1), j + np.uint64(1), random_words(4000, 3)[0]])
+        same_bits([_dd.phase_sin(w1)], [oracles.phase_sin_allocating(w1)])
+
+    @given(
+        xh=st.floats(min_value=-2.0**104, max_value=2.0**104, allow_nan=False),
+        r=st.floats(min_value=-2.0**-53, max_value=2.0**-53),
+        scale=st.integers(-60, 104),
+        tiny=st.floats(min_value=-1e-300, max_value=1e-300),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_phase_from_dd_both_signs_up_to_2_104(self, xh, r, scale, tiny):
+        hs = np.array([xh, -xh, math.ldexp(r, scale) * 2.0**53, 0.0, -0.0, xh])
+        ls = np.array([xh * r, xh * r, r * 1e-17, tiny, -tiny, 0.0])
+        same_bits(_dd.phase_from_dd(hs, ls), oracles.phase_from_dd_allocating(hs, ls))
+        same_bits(_dd._float_phase(hs), oracles.float_phase_allocating(hs))
+        same_bits(_dd._float_phase(ls), oracles.float_phase_allocating(ls))
+
+    @pytest.mark.parametrize("xh, xl", [(2.75, 0.0), (-0.25, 0.0), (3.0, -1e-20),
+                                        (-0.0, 0.0), (5.0, 1e-21), (-7.5, -3e-16)])
+    def test_phase_of_python_floats_and_0d_arrays(self, xh, xl):
+        for h, l in ((xh, xl), (np.float64(xh), np.float64(xl)),
+                     (np.array(xh), np.array(xl))):
+            same_bits(_dd.phase_from_dd(h, l), oracles.phase_from_dd_allocating(h, l))
+            same_bits(_dd._float_phase(h), oracles.float_phase_allocating(h))
+
+    @given(
+        a=st.lists(st.floats(min_value=-1e150, max_value=1e150, allow_nan=False),
+                   min_size=1, max_size=16),
+        y=st.floats(min_value=-1e8, max_value=1e8, allow_nan=False),
+        r=st.floats(min_value=-2.0**-53, max_value=2.0**-53),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_products_match_allocating_forms(self, a, y, r):
+        xh = np.array(a)
+        xl = xh * r
+        same_bits(_dd.two_prod(xh, y), oracles.two_prod_allocating(xh, y))
+        same_bits(_dd.two_prod(a[0], y), oracles.two_prod_allocating(a[0], y))
+        same_bits(_dd.dd_mul_d(xh, xl, y), oracles.dd_mul_d_allocating(xh, xl, y))
+        same_bits(_dd.dd_sq(xh, xl), oracles.dd_sq_allocating(xh, xl))

@@ -460,6 +460,25 @@ class TestPerturbedDensity:
         with pytest.raises(ValueError, match="positive and finite"):
             eval_density(d, np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("x", [
+        math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 2.5, [], [[]],
+        [1.0, math.nan], [2.0, math.inf, math.nan], [3.0, -math.inf], [1.0, 0.0],
+        [-0.0, 1.0], [4.0, -2.0, math.nan], [[1.0, 2.0], [0.5, -3.0]],
+        [1.0, 1.7976931348623157e308], np.array(7.0), np.float64(-1.0),
+    ])
+    def test_input_check_matches_the_masked_form(self, x):
+        # min() and max() decide; the mask is built only to name the offender
+        try:
+            want = oracles.as_positive_array_masked(x)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                measures._as_positive_array(x)
+            assert str(got.value) == str(exc)
+        else:
+            arr, scalar = measures._as_positive_array(x)
+            assert scalar == want[1] and arr.shape == want[0].shape
+            assert arr.tobytes() == want[0].tobytes()
+
 
 
 class TestBasePhase:

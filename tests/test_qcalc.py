@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import sys
@@ -18,6 +19,8 @@ from qmoments.measures import (
     eval_modulator,
     eval_weight,
 )
+from qmoments import qcalc
+from qmoments.cli import main
 from qmoments.qcalc import QDerivativeSample, q_derivative, q_pearson_residual
 
 from test_measures import modulator_strategy, phase_noise_budget
@@ -104,6 +107,67 @@ class TestAnnihilation:
         s = q_derivative(m, x, w.q)
         g = eval_modulator(m, x)
         assert abs(s.value) <= 1e-12 * (1.0 + abs(g) / x)
+
+
+class TestSharedLogPath:
+    """A Modulator at its own q takes g(q*x) from ln x + ln q in double-double."""
+
+    SINE1 = '{"k": 1.0, "lambda": 0.5, "modes": [{"a": 1.0, "b": 1, "kind": "sine"}]}'
+    MODULATORS = (
+        Modulator(LogNormalWeight(1.0), 1.0, (TrigMode(1.0, 1, "sine"),)),
+        Modulator(LogNormalWeight(1.0), 1.0, (TrigMode(0.5, 1, "sine"), TrigMode(0.3, 2, "sine"),
+                                              TrigMode(0.2, 5, "sine"))),
+        Modulator(LogNormalWeight(1.0), 0.9, WeierstrassSpec(0.5, 3, 10, "sine")),
+        Modulator(LogNormalWeight(0.5), 0.1, (TrigMode(1.0, 1, "cosine"),)),
+        Modulator(LogNormalWeight(0.45), -0.6, (TrigMode(0.5, 1, "cosine"),
+                                                TrigMode(0.5, 3, "sine"))),
+    )
+
+    def qderiv_case(self, tmp_path):
+        out = tmp_path / "report.json"
+        code = main(["qderiv", "--modulator", self.SINE1, "--out", str(out)])
+        return code, json.loads(out.read_text())["cases"][0]
+
+    def test_planted_ln_q_defect_fails(self, tmp_path, monkeypatch):
+        # ln q off by 1e-14 relative moves the phase of q*x by 1e-14 turns;
+        # at k = 1 the worst scaled |D_q g| is then ~3.5 times the 1e-12
+        # tolerance, so the zeros of the true identity come from the
+        # arithmetic, not from a whole turn built into the evaluator.
+        code, case = self.qderiv_case(tmp_path)
+        assert code == 0 and case["pass"] and case["value"] == 0.0
+        lnq_dd = qcalc._lnq_dd
+        monkeypatch.setattr(qcalc, "_lnq_dd",
+                            lambda k: tuple(v * (1.0 + 1e-14) for v in lnq_dd(k)))
+        code, case = self.qderiv_case(tmp_path)
+        assert code == 1 and not case["pass"] and "reason" not in case["inputs"]
+        assert 2e-12 < case["value"] < 1e-11
+
+    def test_within_the_float64_steps_floor_of_the_callable_path(self):
+        # the callable path evaluates g at the rounded q*x; the two differ
+        # by no more than the 1.25 eps floor that the qderiv check subtracts
+        rng = np.random.default_rng(8262027)
+        xs = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 1000))
+        for m in self.MODULATORS:
+            q = m.weight.q
+            shared = q_derivative(m, xs, q)
+            stepped = q_derivative(lambda x: eval_modulator(m, x), xs, q)
+            floor = 1.25 * np.finfo(float).eps * m.log_slope_bound / ((1.0 - q) * xs)
+            assert np.all(np.abs(shared - stepped) <= floor)
+
+    def test_other_q_takes_the_float64_step(self):
+        m = self.MODULATORS[2]
+        xs = np.exp(np.linspace(-5.0, 5.0, 101))
+        for q in (0.5, np.nextafter(m.weight.q, 1.0)):
+            want = q_derivative(lambda x: eval_modulator(m, x), xs, q)
+            assert q_derivative(m, xs, q).tobytes() == want.tobytes()
+
+    def test_scalar_matches_array(self):
+        m = self.MODULATORS[4]
+        xs = np.array([1e-3, 0.37, 1.0, 2.0, 777.7])
+        vals = q_derivative(m, xs, m.weight.q)
+        for x, v in zip(xs, vals):
+            s = q_derivative(m, float(x), m.weight.q)
+            assert isinstance(s, QDerivativeSample) and s.value == v
 
 
 class TestQPearsonWeight:
