@@ -7,12 +7,13 @@ exists, and a boolean verdict.  JSON output is the full report; CSV is
 a flat projection of the case list, one row per case with the inputs
 packed into a JSON string column.
 
-Report schema, version 3; the version changes with the report layout
-and with the package's public API (``qmoments.__all__``)::
+Report schema, version 4; the version changes with the report layout,
+with what a verdict means, and with the package's public API
+(``qmoments.__all__``)::
 
     {
       "header": {
-        "schema_version": 3,
+        "schema_version": 4,
         "package_version": "...",
         "timestamp": "...ISO 8601 UTC...",
         "command": "<subcommand>",
@@ -27,16 +28,27 @@ and with the package's public API (``qmoments.__all__``)::
       "summary": {"total": N, "passed": N, "failed": N}
     }
 
+One rule decides every case but Hankel's: with d = |value - reference|
+and b the case's bound (its ``error_estimate``), PASS when d + b <=
+tolerance, FAIL when d - b > tolerance, and otherwise a refusal.  A ratio
+spread's b is the sum of its two extreme ratios' bounds; the exact
+convention case has b = 0.  Pearson and qderiv (ROADMAP item 4) and
+holder (item 5) have no derived bound yet: they decide with b = 0 and
+report null.  Hankel decides by a bare Cholesky (item 3).  A refusal is
+a failed case with value, reference and error_estimate null and a
+``reason`` in its inputs naming the case's inputs and what could not be
+decided; a ``BudgetExceededError`` or a numpy floating-point warning
+refuses every case its family would have emitted.
+
 Cases are emitted sorted by id.  Reports are deterministic for a given
 configuration and package version except for the header timestamp.
 Non-finite numbers are rendered as null (NaN) or "inf"/"-inf" strings
 so the output is always strict JSON.
 
-Exit status: 0 when every case passes, 1 when any case fails, 2 for
-configuration errors only (unknown flags, unparseable modulator JSON, bad
-ranges, size bounds).  A numerical refusal (``BudgetExceededError``, or a
-numpy floating-point warning) is not one: each case its family would have
-emitted fails with the reason attached.
+Exit status: 0 when every case passes, 1 when any case fails or is
+refused, 2 for configuration errors only (unknown flags, unparseable
+modulator JSON, bad ranges, size bounds, a negative or non-finite
+tolerance).
 """
 
 import argparse
@@ -76,7 +88,7 @@ from .quadrature import (
 )
 from .roughness import holder_estimate
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 _DEFAULT_SEED = 20260817
 # size bounds: ~200 MB of pointwise work, a 1000 x 1000 Hankel or Gram matrix
@@ -99,15 +111,9 @@ class Case:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "inputs": self.inputs,
-            "value": self.value,
-            "reference": self.reference,
-            "tolerance": self.tolerance,
-            "error_estimate": self.error_estimate,
-            "pass": self.passed,
-        }
+        d = dict(vars(self))
+        d["pass"] = d.pop("passed")
+        return d
 
 
 def _cases_or_refusals(heads, tolerance, build) -> list:
@@ -121,14 +127,24 @@ def _cases_or_refusals(heads, tolerance, build) -> list:
                      tolerance, None, False) for cid, inputs in heads]
 
 
+def _decided(cid, inputs, value, reference, tolerance, bound) -> Case:
+    """The case decided by the module's rule with error bound ``bound``;
+    ``None`` (no derived bound yet) decides with 0 and reports null."""
+    gap, b = abs(value - reference), bound or 0.0
+    passed = gap + b <= tolerance
+    if passed or gap - b > tolerance:
+        return Case(cid, inputs, value, reference, tolerance, bound, passed)
+    named = ", ".join(f"k={v!r}" if key == "k" else f"{key} {v!r}"
+                      for key, v in inputs.items())
+    reason = (f"{named}: bound {b:.3g} cannot decide |value - reference| "
+              f"{gap:.3g} against tolerance {tolerance:g}")
+    return Case(cid, dict(inputs, reason=reason), None, None, tolerance, None, False)
+
+
 def _held_cases(heads, results, reference, tolerance) -> list:
     """One case per head: a result's value_over_scale() held to reference."""
-    cases = []
-    for (cid, inputs), r in zip(heads, results):
-        v = r.value_over_scale()
-        cases.append(Case(cid, inputs, v, reference, tolerance,
-                          r.error_estimate, abs(v - reference) <= tolerance))
-    return cases
+    return [_decided(cid, inputs, r.value_over_scale(), reference, tolerance,
+                     r.error_estimate) for (cid, inputs), r in zip(heads, results)]
 
 
 def _sanitize(obj):
@@ -227,7 +243,7 @@ def run_vanish(ns) -> list:
 
 def _moment_cases(tag, obj, m, orders, spec, tolerance, extra=None) -> list:
     factor = modulator_moment_factor(m) if m is not None else 1.0
-    heads = [(f"{tag}/n={n}", {"n": n, **(extra or {})}) for n in orders]
+    heads = [(f"{tag}/n={n}", {**(extra or {}), "n": n}) for n in orders]
     return _cases_or_refusals(heads, tolerance, lambda: _held_cases(
         heads, _integrate_orders(obj, orders, spec), factor, tolerance))
 
@@ -244,13 +260,12 @@ def _ratio_cases(tag, m, orders, spec, tolerance) -> list:
     obj = PerturbedDensity.of(m)
     cases = _moment_cases(tag, obj, m, orders, spec, tolerance,
                           {"k": m.weight.k, "lambda": m.lam})
-    ratios = [c.value for c in cases if c.value is not None]
-    if len(ratios) >= 2:
-        spread = max(ratios) - min(ratios)
-        cases.append(
-            Case(f"{tag}/spread", {"orders": list(orders)}, spread, 0.0,
-                 tolerance, None, spread <= tolerance)
-        )
+    done = sorted((c for c in cases if c.value is not None), key=lambda c: c.value)
+    if len(done) >= 2:
+        lo, hi = done[0], done[-1]
+        cases.append(_decided(f"{tag}/spread", {"orders": list(orders)},
+                              hi.value - lo.value, 0.0, tolerance,
+                              lo.error_estimate + hi.error_estimate))
     return cases
 
 
@@ -281,8 +296,8 @@ def _pearson_case(tag, obj, xs, tolerance) -> list:
             m = obj.modulator
             scale = scale * (1.0 + abs(m.lam) * m.sup_bound)
         worst = float(np.max(np.abs(res) / scale))
-        return [Case(tag, inputs, worst, 0.0, tolerance, None,
-                     worst <= tolerance)]
+        # no derived bound until ROADMAP item 4 supplies the kernel's floor
+        return [_decided(tag, inputs, worst, 0.0, tolerance, None)]
 
     return _cases_or_refusals([(tag, inputs)], tolerance, build)
 
@@ -320,7 +335,8 @@ def _qderiv_case(tag, m, xs, tolerance) -> list:
         vals = np.abs(q_derivative(m, xs, q))
         worst = float(np.max(np.maximum(vals - floor, 0.0) / norm))
         raw = dict(inputs, raw_worst=float(np.max(vals / norm)))
-        return [Case(tag, raw, worst, 0.0, tolerance, None, worst <= tolerance)]
+        # no derived bound until ROADMAP item 4 replaces the floor above
+        return [_decided(tag, raw, worst, 0.0, tolerance, None)]
 
     return _cases_or_refusals([(tag, inputs)], tolerance, build)
 
@@ -341,6 +357,7 @@ def _hankel_cases(tag, obj, dim, spec) -> list:
         else:
             seq = MomentSequence.from_quadrature(obj, 2 * dim, spec)
         rep = hankel_check(seq, dim)
+        # a bare Cholesky decides until ROADMAP item 3 gives a margin
         shared = {"dim": rep.dim, "condition": rep.condition,
                   "shifted_condition": rep.shifted_condition}
         return [
@@ -371,13 +388,7 @@ def _gram_cases(tag, w, degree, spec, tolerance, cross_mods) -> list:
 
     def case(head, seq):
         rep = stieltjes_wigert_check(w, seq, degree)
-        # decided only when the residual clears the tolerance by the bound
-        if rep.bound >= tolerance or abs(rep.residual - tolerance) <= rep.bound:
-            raise BudgetExceededError(
-                f"k={w.k!r}, degree {degree}: bound {rep.bound:.3g} cannot decide "
-                f"residual {rep.residual:.3g} against tolerance {tolerance:g}")
-        return [Case(*head, rep.residual, 0.0, tolerance, rep.bound,
-                     rep.residual + rep.bound <= tolerance)]
+        return [_decided(*head, rep.residual, 0.0, tolerance, rep.bound)]
 
     def build():
         # a k without float64 closed-form moments refuses every case
@@ -407,12 +418,9 @@ def _holder_cases(tag, profile, exact, samples, probes, seed,
     def build():
         est = holder_estimate(profile, samples=samples, probes=probes, seed=seed)
         inputs = dict(base, terms_used=est.terms_used)
-        return [
-            Case(f"{tag}/alpha", inputs, est.alpha, exact, tolerance, None,
-                 abs(est.alpha - exact) <= tolerance),
-            Case(f"{tag}/fit", inputs, est.r_squared, 1.0, 0.02, None,
-                 est.r_squared >= 0.98),
-        ]
+        # no derived bound until ROADMAP item 5 bounds the fit
+        return [_decided(f"{tag}/alpha", inputs, est.alpha, exact, tolerance, None),
+                _decided(f"{tag}/fit", inputs, est.r_squared, 1.0, 0.02, None)]
 
     return _cases_or_refusals([(f"{tag}/alpha", base), (f"{tag}/fit", base)],
                               tolerance, build)
@@ -508,11 +516,15 @@ def run_all(ns) -> list:
 
     # The moment exponent is positive; the report header states it.
     v = base_moment_closed_form(LogNormalWeight(1.0), 1).ln_abs
-    cases.append(
-        Case("convention/positive-exponent", {"k": 1.0, "n": 1}, v, 1.0,
-             0.0, None, v == 1.0)
-    )
+    cases.append(_decided("convention/positive-exponent", {"k": 1.0, "n": 1},
+                          v, 1.0, 0.0, 0.0))  # exact
     return cases
+
+
+def _tolerance(text: str) -> float:
+    if not 0.0 <= float(text) < math.inf:  # nan fails both comparisons
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return float(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -527,7 +539,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--rel-tol", type=float, default=1e-12,
                            help="quadrature relative tolerance")
         if tolerance is not None:
-            p.add_argument("--tolerance", type=float, default=tolerance,
+            p.add_argument("--tolerance", type=_tolerance, default=tolerance,
                            help=f"pass threshold (default {tolerance:g})")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default="-",
@@ -538,6 +550,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="weight parameter (without --modulator)")
         p.add_argument("--modulator", default=None,
                        help="inline JSON or a path to a JSON file")
+
+    def sampled(p, tolerance):
+        p.add_argument("--x-min", type=float, default=1e-3)
+        p.add_argument("--x-max", type=float, default=1e3)
+        p.add_argument("--points", type=int, default=100)
+        p.add_argument("--seed", type=int, default=_DEFAULT_SEED)
+        common(p, tolerance, integrates=False)
 
     p = sub.add_parser("vanish", help="oscillatory integrals that must vanish")
     p.add_argument("--k", type=float, action="append",
@@ -564,20 +583,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pearson", help="q-difference equation residuals")
     with_object(p)
-    p.add_argument("--x-min", type=float, default=1e-3)
-    p.add_argument("--x-max", type=float, default=1e3)
-    p.add_argument("--points", type=int, default=100)
-    p.add_argument("--seed", type=int, default=_DEFAULT_SEED)
-    common(p, 1e-13, integrates=False)
+    sampled(p, 1e-13)
     p.set_defaults(run=run_pearson)
 
     p = sub.add_parser("qderiv", help="q-derivative annihilation residuals")
     with_object(p)
-    p.add_argument("--x-min", type=float, default=1e-3)
-    p.add_argument("--x-max", type=float, default=1e3)
-    p.add_argument("--points", type=int, default=100)
-    p.add_argument("--seed", type=int, default=_DEFAULT_SEED)
-    common(p, 1e-12, integrates=False)
+    sampled(p, 1e-12)
     p.set_defaults(run=run_qderiv)
 
     p = sub.add_parser("hankel", help="Hankel positive definiteness")
@@ -614,14 +625,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_echo(ns) -> dict:
     skip = {"run", "command", "format", "out"}
-    echo = {}
-    for key, val in vars(ns).items():
-        if key in skip:
-            continue
-        if isinstance(val, tuple):
-            val = list(val)
-        echo[key] = val
-    return echo
+    return {key: list(val) if isinstance(val, tuple) else val
+            for key, val in vars(ns).items() if key not in skip}
 
 
 def build_report(ns, cases: list) -> dict:
@@ -637,11 +642,8 @@ def build_report(ns, cases: list) -> dict:
             "moment_convention": MOMENT_SIGN_NOTE,
         },
         "cases": [c.as_dict() for c in cases],
-        "summary": {
-            "total": len(cases),
-            "passed": passed,
-            "failed": len(cases) - passed,
-        },
+        "summary": {"total": len(cases), "passed": passed,
+                    "failed": len(cases) - passed},
     }
     return _sanitize(report)
 
@@ -650,22 +652,16 @@ def render_json(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+_CSV_COLUMNS = ("id", "pass", "value", "reference", "tolerance", "error_estimate")
+
+
 def render_csv(report: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["id", "pass", "value", "reference", "tolerance",
-                     "error_estimate", "inputs"])
+    writer.writerow([*_CSV_COLUMNS, "inputs"])
     for case in report["cases"]:
-        writer.writerow([
-            case["id"],
-            case["pass"],
-            case["value"],
-            case["reference"],
-            case["tolerance"],
-            case["error_estimate"],
-            json.dumps(case["inputs"], sort_keys=True,
-                       separators=(",", ":")),
-        ])
+        inputs = json.dumps(case["inputs"], sort_keys=True, separators=(",", ":"))
+        writer.writerow([case[col] for col in _CSV_COLUMNS] + [inputs])
     return buf.getvalue()
 
 

@@ -8,9 +8,12 @@ runs.
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
+import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -18,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qmoments
-from qmoments import MOMENT_SIGN_NOTE, modulator_from_dict, quadrature
+from qmoments import LogScaled, MOMENT_SIGN_NOTE, cli, modulator_from_dict, quadrature
 from qmoments.cli import SCHEMA_VERSION, _cases_or_refusals, main
 from qmoments.quadrature import modulator_moment_factor
 
@@ -48,7 +51,7 @@ class TestReportShape:
         )
         assert code == 0
         h = rep["header"]
-        assert h["schema_version"] == 3
+        assert h["schema_version"] == 4
         assert h["command"] == "vanish"
         assert "backend" not in h
         assert h["moment_convention"] == MOMENT_SIGN_NOTE
@@ -300,6 +303,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "Traceback" not in err and "RuntimeWarning" not in err
 
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf", "-inf"])
+    @pytest.mark.parametrize("args", [
+        ["vanish", "--k", "1", "--n", "0", "--j", "1"],
+        ["moments", "--k", "1", "--n", "0"],
+        ["ratio", "--modulator", COS_MOD, "--n", "0..1"],
+        ["pearson", "--k", "1", "--points", "5"],
+        ["qderiv", "--modulator", SINE3_MOD],
+        ["gram", "--k", "1"],
+        ["holder", "--a", "0.5", "--b", "3"],
+    ], ids=["vanish", "moments", "ratio", "pearson", "qderiv", "gram", "holder"])
+    def test_tolerance_must_be_finite_and_non_negative(self, args, value, capsys):
+        # a threshold that no value can meet (nan, negative) or that every
+        # value meets (inf) is a configuration error, not a verdict
+        with pytest.raises(SystemExit) as exc:
+            main(args + [f"--tolerance={value}"])
+        assert exc.value.code == 2
+        assert "--tolerance: must be finite and >= 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("args", [
         ["pearson", "--k", "1"],
         ["qderiv", "--modulator", SINE3_MOD],
@@ -393,26 +414,109 @@ class TestGram:
         assert code == (0 if rep["summary"]["failed"] == 0 else 1)
 
 
+def shift_one_order(monkeypatch, name, order, by):
+    """Wrap ``cli.<name>``, a block quadrature, so that ``order``'s value
+    over scale comes out moved by ``by``: a planted defect the bound cannot
+    see, with the program itself unchanged."""
+    real = getattr(cli, name)
+
+    def shifted(obj, orders, *args):
+        orders = list(orders)
+        for n, r in zip(orders, real(obj, orders, *args)):
+            if n == order:
+                moved = LogScaled.from_float(r.value_over_scale() + by)
+                r = dataclasses.replace(r, value=moved * LogScaled.exp(r.ln_scale))
+            yield r
+
+    monkeypatch.setattr(cli, name, shifted)
+
+
+class TestDecisionRule:
+    @pytest.mark.parametrize("args, name, tolerance", [
+        (["vanish", "--k", "1", "--n", "0..2", "--j", "1"], "_vanishing_orders", 1e-10),
+        (["moments", "--modulator", SINE3_MOD, "--n", "0..2"], "_integrate_orders", 1e-10),
+        (["ratio", "--modulator", COS_MOD, "--n", "0..2"], "_integrate_orders", 1e-8),
+    ], ids=["vanish", "invariance", "ratio"])
+    def test_planted_defect_fails(self, args, name, tolerance, tmp_path, monkeypatch):
+        # order 1 moved by 5 tolerances: its case, and a ratio spread, must
+        # FAIL with a value and a bound, not PASS and not be refused
+        shift_one_order(monkeypatch, name, 1, 5 * tolerance)
+        code, rep = run_json(tmp_path, args)
+        assert code == 1
+        for case in rep["cases"]:
+            planted = "n=1" in case["id"].split("/") or case["id"].endswith("/spread")
+            assert case["pass"] is not planted
+            assert case["value"] is not None and "reason" not in case["inputs"]
+            if planted:
+                miss = abs(case["value"] - case["reference"]) - case["error_estimate"]
+                assert miss > case["tolerance"]
+        assert sum(c["id"].endswith("/spread") for c in rep["cases"]) == (args[0] == "ratio")
+
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(["vanish", "moments", "ratio", "gram"]),
+           log_k=st.floats(-4.0, 4.0), n=st.integers(-1000, 999),
+           harmonic=st.integers(1, 63), lam=st.floats(-1.0, 1.0),
+           degree=st.integers(1, 10))
+    def test_true_identity_is_a_backed_pass_or_a_named_refusal(
+            self, family, log_k, n, harmonic, lam, degree):
+        # The integrals vanish, sine content keeps every moment, cosine
+        # content scales them all by one factor, and both keep the
+        # Stieltjes-Wigert basis orthonormal; one unit mode has sup 1, so
+        # |lam| <= 1 keeps the density positive.  Each case states a true
+        # identity: a PASS within its bound or a refusal naming its inputs.
+        k = 10.0 ** log_k
+        kind = "cosine" if family == "ratio" else "sine"
+        mod = json.dumps({"k": k, "lambda": lam,
+                          "modes": [{"a": 1.0, "b": harmonic, "kind": kind}]})
+        orders = f"--n={n}..{n + 1}"
+        args = {"vanish": ["vanish", "--k", repr(k), orders, "--j", str(harmonic)],
+                "moments": ["moments", "--modulator", mod, orders],
+                "ratio": ["ratio", "--modulator", mod, orders],
+                "gram": ["gram", "--modulator", mod, "--degree", str(degree)]}[family]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(args)
+        rep = json.loads(out.getvalue())
+        for case in rep["cases"]:
+            if case["value"] is None:
+                assert case["pass"] is False
+                named = {"gram": f"k={k!r}, degree {degree}"}.get(family, f"k={k!r}")
+                if case["id"].endswith("/spread"):
+                    named = f"orders {[n, n + 1]!r}"
+                assert named in case["inputs"]["reason"]
+            else:
+                assert case["pass"] is True, case
+                gap = abs(case["value"] - case["reference"])
+                assert gap + case["error_estimate"] <= case["tolerance"]
+        assert code == (0 if rep["summary"]["failed"] == 0 else 1)
+
+
 # the sorted public API at each report schema version; a change to
 # qmoments.__all__ needs a new SCHEMA_VERSION and a new entry here
-PUBLIC_API = {
-    3: [
-        "BudgetExceededError", "DivergenceWitness", "GramReport", "HankelReport",
-        "HolderEstimate", "LogNormalWeight", "LogScaled", "MOMENT_SIGN_NOTE",
-        "Modulator", "MomentSequence", "PerturbedDensity", "QDerivativeSample",
-        "QuadratureResult", "QuadratureSpec", "TrigMode", "WeierstrassSpec",
-        "__version__", "base_moment_closed_form", "divergence_witness",
-        "eval_density", "eval_modulator", "eval_weight", "hankel_check",
-        "holder_estimate", "integrate_moment", "local_oscillation",
-        "modulator_from_dict", "modulator_moment_factor", "modulator_to_dict",
-        "positivity_bound", "q_derivative", "q_pearson_residual",
-        "stieltjes_wigert_check", "vanishing_integral",
-    ],
-}
+_API_3 = [
+    "BudgetExceededError", "DivergenceWitness", "GramReport", "HankelReport",
+    "HolderEstimate", "LogNormalWeight", "LogScaled", "MOMENT_SIGN_NOTE",
+    "Modulator", "MomentSequence", "PerturbedDensity", "QDerivativeSample",
+    "QuadratureResult", "QuadratureSpec", "TrigMode", "WeierstrassSpec",
+    "__version__", "base_moment_closed_form", "divergence_witness",
+    "eval_density", "eval_modulator", "eval_weight", "hankel_check",
+    "holder_estimate", "integrate_moment", "local_oscillation",
+    "modulator_from_dict", "modulator_moment_factor", "modulator_to_dict",
+    "positivity_bound", "q_derivative", "q_pearson_residual",
+    "stieltjes_wigert_check", "vanishing_integral",
+]
+# schema 4 changed the verdict rule, not __all__
+PUBLIC_API = {3: _API_3, 4: _API_3}
 
 
 def test_public_api_is_frozen_with_the_schema_version():
     assert sorted(qmoments.__all__) == PUBLIC_API[SCHEMA_VERSION]
+
+
+def test_documented_schema_version_is_current():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for text in (readme, cli.__doc__):
+        assert re.findall(r'"schema_version": (\d+)', text) == [str(SCHEMA_VERSION)]
 
 
 class TestDeterminism:
@@ -455,3 +559,16 @@ class TestFullBattery:
                     if c["id"] == "convention/positive-exponent")
         assert conv["value"] == 1.0
         assert math.isfinite(conv["reference"])
+
+    def test_bounded_families_pass_within_their_bound(self, tmp_path):
+        code, rep = run_json(tmp_path, ["all", "--seed", "1"])
+        assert code == 0
+        bounded = [c for c in rep["cases"] if c["id"].split("/")[0]
+                   in ("vanish", "invariance", "ratio", "gram", "convention")]
+        assert len(bounded) == 292
+        assert sum(c["id"].endswith("/spread") for c in bounded) == 2
+        for c in bounded:
+            assert isinstance(c["error_estimate"], float), c["id"]
+            assert c["pass"] is True, c["id"]
+            gap = abs(c["value"] - c["reference"])
+            assert gap + c["error_estimate"] <= c["tolerance"], c["id"]
