@@ -7,13 +7,13 @@ exists, and a boolean verdict.  JSON output is the full report; CSV is
 a flat projection of the case list, one row per case with the inputs
 packed into a JSON string column.
 
-Report schema, version 4; the version changes with the report layout,
-with what a verdict means, and with the package's public API
-(``qmoments.__all__``)::
+Report schema, version 5; the version changes with the report layout,
+with what a verdict means or which points a seed gives, and with the
+package's public API (``qmoments.__all__``)::
 
     {
       "header": {
-        "schema_version": 4,
+        "schema_version": 5,
         "package_version": "...",
         "timestamp": "...ISO 8601 UTC...",
         "command": "<subcommand>",
@@ -41,7 +41,8 @@ decided; a ``BudgetExceededError`` or a numpy floating-point warning
 refuses every case its family would have emitted.
 
 Cases are emitted sorted by id.  Reports are deterministic for a given
-configuration and package version except for the header timestamp.
+configuration and package version except for the header timestamp;
+``--seed`` offsets the Weyl sequence of every sample and base point.
 Non-finite numbers are rendered as null (NaN) or "inf"/"-inf" strings
 so the output is always strict JSON.
 
@@ -63,13 +64,13 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from ._rng import uniform
 from .measures import (
     LogNormalWeight,
     Modulator,
     PerturbedDensity,
     TrigMode,
     WeierstrassSpec,
+    _weyl_uniform,
     eval_modulator,
     eval_weight,
     modulator_from_dict,
@@ -88,7 +89,7 @@ from .quadrature import (
 )
 from .roughness import holder_estimate
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 _DEFAULT_SEED = 20260817
 # size bounds: ~200 MB of pointwise work, a 1000 x 1000 Hankel or Gram matrix
@@ -215,13 +216,13 @@ def _spec(ns) -> QuadratureSpec:
     return QuadratureSpec(rel_tol=ns.rel_tol)
 
 
-def _sample_points(ns) -> np.ndarray:
-    if not (0.0 < ns.x_min < ns.x_max):
+def _sample_points(seed, x_min=1e-3, x_max=1e3, points=100) -> np.ndarray:
+    """Log-uniform sample points in [x_min, x_max), the battery's by default."""
+    if not (0.0 < x_min < x_max):
         raise ConfigError("need 0 < x-min < x-max")
-    if not 1 <= ns.points <= _MAX_POINTS:
+    if not 1 <= points <= _MAX_POINTS:
         raise ConfigError(f"--points must be in [1, {_MAX_POINTS}]")
-    lo, hi = math.log(ns.x_min), math.log(ns.x_max)
-    return np.exp(uniform(ns.seed, lo, hi, ns.points))
+    return np.exp(_weyl_uniform(seed, math.log(x_min), math.log(x_max), points))
 
 
 def _vanish_cases(ks, orders, js, spec, tolerance) -> list:
@@ -304,7 +305,7 @@ def _pearson_case(tag, obj, xs, tolerance) -> list:
 
 def run_pearson(ns) -> list:
     w, m, obj = _object_under_test(ns)
-    xs = _sample_points(ns)
+    xs = _sample_points(ns.seed, ns.x_min, ns.x_max, ns.points)
     return _pearson_case(f"pearson/k={w.k}", obj, xs, ns.tolerance)
 
 
@@ -345,8 +346,8 @@ def run_qderiv(ns) -> list:
     w, m, _ = _object_under_test(ns)
     if m is None:
         raise ConfigError("qderiv needs --modulator")
-    return _qderiv_case(f"qderiv/k={w.k}", m, _sample_points(ns),
-                        ns.tolerance)
+    xs = _sample_points(ns.seed, ns.x_min, ns.x_max, ns.points)
+    return _qderiv_case(f"qderiv/k={w.k}", m, xs, ns.tolerance)
 
 
 def _hankel_cases(tag, obj, dim, spec) -> list:
@@ -478,7 +479,7 @@ def run_all(ns) -> list:
                               1e-8)
 
     # q-Pearson identity for the weight and a rough density.
-    xs = np.exp(uniform(ns.seed, math.log(1e-3), math.log(1e3), 100))
+    xs = _sample_points(ns.seed)
     for k in (0.5, 1.0, 2.0):
         cases += _pearson_case(f"pearson/weight/k={k}", LogNormalWeight(k),
                                xs, 1e-13)

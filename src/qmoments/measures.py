@@ -85,6 +85,21 @@ def _check_int(value, name: str, lo: int, hi: Union[int, None] = None) -> int:
     return value
 
 
+def _weyl_uniform(seed, low: float, high: float, size: int) -> np.ndarray:
+    """``size`` points of [low, high), seed an int >= 0: the Weyl sequence
+    w_i = s + i G mod 2**64, G = floor(2**64/phi) (Weyl, Math. Ann. 77, 1916),
+    offset s the SplitMix64 finalizer (Steele, Lea & Flood, OOPSLA 2014)
+    folded over the seed's 64-bit words, each mapped as numpy maps 64 bits."""
+    seed, s, m64 = _check_int(seed, "seed", 0), 0, 2**64 - 1
+    for shift in range(0, max(seed.bit_length(), 1), 64):
+        s = (s ^ seed >> shift & m64) + 0x9E3779B97F4A7C15 & m64
+        s = (s ^ s >> 30) * 0xBF58476D1CE4E5B9 & m64
+        s = (s ^ s >> 27) * 0x94D049BB133111EB & m64
+        s ^= s >> 31
+    w = np.arange(size, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15) + np.uint64(s)
+    return low + (high - low) * ((w >> np.uint64(11)) * 2.0**-53)
+
+
 def _as_positive_array(x, name: str = "x"):
     """Validate and convert x; returns (array, was_scalar)."""
     arr = np.asarray(x, dtype=np.float64)

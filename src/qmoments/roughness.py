@@ -7,8 +7,8 @@ and of the modulator as a function of x coincide; measuring in w keeps
 the coordinate itself out of the measurement.
 
 The estimator is deliberately blunt: median local oscillation over base
-points, numpy's ``default_rng(seed).uniform(0, 1)`` stream (``_rng``), at
-a ladder of dyadic scales, then a least squares line in ln-ln.  For
+points, a seeded Weyl sequence (``measures._weyl_uniform``), at a ladder
+of dyadic scales, then a least squares line in ln-ln.  For
 W(w) = sum a^i trig(2 pi b^i w) the oscillation at scale h tracks h**alpha,
 alpha = ln(1/a)/ln(b), when a*b >= 1; a finite truncation flattens to
 slope 1 below scales ~ b**-N, so the truncation depth is raised
@@ -41,8 +41,7 @@ from typing import Union
 import numpy as np
 
 from . import _dd
-from ._rng import uniform
-from .measures import Modulator, WeierstrassSpec, _check_int
+from .measures import Modulator, WeierstrassSpec, _check_int, _weyl_uniform
 
 __all__ = [
     "HolderEstimate",
@@ -263,13 +262,13 @@ def holder_estimate(
     """Fit the oscillation power law of the profile of ``obj``.
 
     ``scales`` defaults to the dyadic ladder 2**-4 .. 2**-20.  Base points
-    are numpy's ``default_rng(seed).uniform(0, 1, samples)``, seed an int
-    >= 0; the fit is ordinary least squares on the log-log medians.
+    are ``samples`` points of [0, 1) from ``measures._weyl_uniform``, seed
+    an int >= 0; the fit is ordinary least squares on the log-log medians.
     """
     samples = _check_int(samples, "samples", 8, _MAX_SAMPLES)
     probes = _check_int(probes, "probes", 8, _MAX_PROBES)
     scales = _validate_scales(scales if scales is not None else 2.0 ** -np.arange(4, 21))
-    base = uniform(seed, 0.0, 1.0, samples)
+    base = _weyl_uniform(seed, 0.0, 1.0, samples)
     osc, terms = _oscillations(obj, base, scales, probes)
     meds = _medians(osc)
     if np.any(meds <= 0.0):
@@ -302,12 +301,13 @@ def divergence_witness(
     """Median difference quotients at steps shrinking by decades.
 
     Unbounded growth of the quotients as the step shrinks is direct
-    evidence against differentiability anywhere in the sampled set.
+    evidence against differentiability anywhere in the sampled set.  Base
+    points are ``holder_estimate``'s at the same seed and samples.
     """
     samples = _check_int(samples, "samples", 8, _MAX_SAMPLES)
     probes = _check_int(probes, "probes", 8, _MAX_PROBES)
     steps = _validate_scales(steps if steps is not None else 10.0 ** -np.arange(3, 10))
-    base = uniform(seed, 0.0, 1.0, samples)
+    base = _weyl_uniform(seed, 0.0, 1.0, samples)
     quotients = _medians(_oscillations(obj, base, steps, probes)[0]) / steps
     ratios = np.log10(quotients[1:] / quotients[:-1])
     spacing = -np.diff(np.log10(steps))

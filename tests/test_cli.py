@@ -51,7 +51,7 @@ class TestReportShape:
         )
         assert code == 0
         h = rep["header"]
-        assert h["schema_version"] == 4
+        assert h["schema_version"] == 5
         assert h["command"] == "vanish"
         assert "backend" not in h
         assert h["moment_convention"] == MOMENT_SIGN_NOTE
@@ -505,8 +505,9 @@ _API_3 = [
     "positivity_bound", "q_derivative", "q_pearson_residual",
     "stieltjes_wigert_check", "vanishing_integral",
 ]
-# schema 4 changed the verdict rule, not __all__
-PUBLIC_API = {3: _API_3, 4: _API_3}
+# schema 4 changed the verdict rule and schema 5 every seed's sample
+# points, neither __all__
+PUBLIC_API = {3: _API_3, 4: _API_3, 5: _API_3}
 
 
 def test_public_api_is_frozen_with_the_schema_version():

@@ -131,6 +131,27 @@ def test_divergence_witness_grows_without_bound():
     assert abs(wit.implied_alpha - 0.63092975357145744) <= 0.08
 
 
+def witness_misses(seed):
+    """Where the witness of W(0.5, 3, 10 terms) at ``seed`` (32 samples, 8
+    probes) leaves its window: every decade's growth within +-50% of
+    10**(1 - alpha), and the implied alpha within 0.08 of alpha."""
+    alpha = math.log(2.0) / math.log(3.0)
+    wit = divergence_witness(WeierstrassSpec(0.5, 3, 10, "sine"), None, 32, 8, seed)
+    growth = wit.growth_ratios / 10.0 ** (1.0 - alpha)
+    return [g for g in growth if not 0.5 <= g <= 1.5] + [
+        a for a in [wit.implied_alpha] if not abs(a - alpha) <= 0.08]
+
+
+@pytest.mark.parametrize("seed", [52, 95, 152, 170])
+def test_witness_holds_where_the_pcg64_points_missed(seed):
+    # numpy's default_rng base points at these seeds left the window
+    assert witness_misses(seed) == []
+
+
+def test_witness_holds_over_a_seed_sweep():
+    assert [s for s in range(200) if witness_misses(s)] == []
+
+
 def test_divergence_witness_flat_for_smooth():
     wit = divergence_witness(lambda w: np.sin(2.0 * np.pi * w))
     assert wit.growth_ratios.max() <= 1.05
@@ -238,8 +259,8 @@ def test_determinism():
 
 
 @pytest.mark.parametrize("kind, alpha, r_squared", [
-    ("sine", 0.002608038265017077, 0.14622125099319505),
-    ("cosine", 0.0010628310190790838, 0.030185715604422292),
+    ("sine", -0.00043468801160676234, 0.026297375766431985),
+    ("cosine", 0.0022203382048069553, 0.18359501425283054),
 ])
 def test_zero_harmonics_add_nothing(kind, alpha, r_squared):
     # b = 2 reaches 2**128 = 0 (mod 2**128) at t = 128, so 9 873 of the
