@@ -7,10 +7,36 @@ differentiable members.  This package constructs such families and checks
 every claimed identity numerically: vanishing integrals, moment closed
 forms, the q-difference equation for the weight, Hankel positivity of the
 shared moment sequence, and Holder exponents of the rough members.
+
+numpy is loaded here with one OpenBLAS thread, unless it is already
+loaded or OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is
+set; the environment is left as the caller had it.
 """
 
-from .logscale import LogScaled
-from .measures import (
+
+def _import_numpy_on_one_blas_thread() -> None:
+    # OpenBLAS starts a worker thread when it loads, and the worker
+    # spin-waits for ~0.1 s of CPU whether or not a product ever needs it;
+    # every product this package forms is small enough for one thread.
+    # It reads its thread count only at load, so this must come before the
+    # first submodule import, and only the load may see the variable.
+    import os
+    import sys
+
+    names = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    if "numpy" in sys.modules or any(name in os.environ for name in names):
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
+
+_import_numpy_on_one_blas_thread()
+
+from .logscale import LogScaled  # noqa: E402
+from .measures import (  # noqa: E402
     LogNormalWeight,
     Modulator,
     PerturbedDensity,
@@ -23,15 +49,15 @@ from .measures import (
     modulator_to_dict,
     positivity_bound,
 )
-from .moments import (
+from .moments import (  # noqa: E402
     GramReport,
     HankelReport,
     MomentSequence,
     hankel_check,
     stieltjes_wigert_check,
 )
-from .qcalc import QDerivativeSample, q_derivative, q_pearson_residual
-from .quadrature import (
+from .qcalc import QDerivativeSample, q_derivative, q_pearson_residual  # noqa: E402
+from .quadrature import (  # noqa: E402
     MOMENT_SIGN_NOTE,
     BudgetExceededError,
     QuadratureResult,
@@ -41,7 +67,7 @@ from .quadrature import (
     modulator_moment_factor,
     vanishing_integral,
 )
-from .roughness import (
+from .roughness import (  # noqa: E402
     DivergenceWitness,
     HolderEstimate,
     divergence_witness,

@@ -303,12 +303,33 @@ def fold_harmonic(w, h):
 
     ``h`` is a Python int of any size, a uint64 array of harmonics below
     2**64, or a pair ``(h1, h0)`` of uint64 arrays holding the two words of
-    h mod 2**128; arrays broadcast against the words.  The high word of the
-    low words' product is built from 32-bit limbs, and a Python int below
-    2**32 skips the products of its zero upper limb; nothing rounds, so
-    folding by b twice equals folding by b**2.
+    h mod 2**128; arrays broadcast against the words.  The top word is
+    :func:`fold_top`'s; nothing rounds, so folding by b twice equals
+    folding by b**2.
+    """
+    w0 = w[1]
+    if isinstance(h, tuple):
+        h0 = h[1]
+    else:
+        h0 = h if isinstance(h, np.ndarray) else np.uint64(int(h) % 2**64)
+    return fold_top(w, limbs(w0), h), w0 * h0
+
+
+def limbs(w0):
+    """The 32-bit limbs ``(w0 >> 32, w0 & (2**32 - 1))`` of a uint64 word."""
+    return w0 >> _S32, w0 & _M32
+
+
+def fold_top(w, w0_limbs, h):
+    """The top word of ``fold_harmonic(w, h)``; the low word is not formed.
+
+    ``w0_limbs`` is ``limbs(w[1])``, so a caller folding one phase by many
+    harmonics splits it once.  The high word of the low words' product is
+    built from 32-bit limbs, and a Python int below 2**32 skips the
+    products of its zero upper limb.
     """
     w1, w0 = w
+    a1, a0 = w0_limbs
     h1 = None
     if isinstance(h, tuple):
         h1, h = h
@@ -316,15 +337,14 @@ def fold_harmonic(w, h):
         h = int(h) % 2**128
         if h >> 32 == 0:  # one limb: a1 h + (a0 h >> 32) < 2**64
             h = np.uint64(h)
-            hi = ((w0 >> _S32) * h + ((w0 & _M32) * h >> _S32)) >> _S32
-            return hi + w1 * h, w0 * h
+            return ((a1 * h + (a0 * h >> _S32)) >> _S32) + w1 * h
         h1 = np.uint64(h >> 64) if h >> 64 else None
         h = np.uint64(h & 0xFFFFFFFFFFFFFFFF)
-    a1, a0, c1, c0 = w0 >> _S32, w0 & _M32, h >> _S32, h & _M32
+    c1, c0 = h >> _S32, h & _M32
     p00, p01, p10 = a0 * c0, a0 * c1, a1 * c0
     carry = ((p00 >> _S32) + (p01 & _M32) + (p10 & _M32)) >> _S32
     hi = a1 * c1 + (p01 >> _S32) + (p10 >> _S32) + carry + w1 * h
-    return (hi if h1 is None else hi + w0 * h1), w0 * h
+    return hi if h1 is None else hi + w0 * h1
 
 
 # sin and cos of 2 pi j / 256 = a + b, a double-double angle, within an ulp

@@ -387,8 +387,8 @@ def _base_phase(k: float, th, tl):
     _lnq_dd(k)  # refuses a k whose k**2 or ln q is not a finite double
     kh, kl = _dd.two_prod(k, k)
     uh, ul = _dd.dd_mul_d(th, tl, -2.0 * kh)
-    if uh.size and (uh.max() >= _MAX_PHASE or uh.min() <= -_MAX_PHASE):
-        far = np.abs(uh) >= _MAX_PHASE
+    far = np.abs(uh) >= _MAX_PHASE
+    if far.any():
         raise BudgetExceededError(f"k={k!r}: at ln x = {float(th[far][0])!r} the "
                                   "phase 2 k**2 |ln x| is >= 2**104 and has no bit left")
     ul += th * (-2.0 * kl)
@@ -396,9 +396,11 @@ def _base_phase(k: float, th, tl):
 
 
 def _modulator_from_phase(m: Modulator, w):
+    # term by term: a sum over a terms axis would round differently
+    w0_limbs = _dd.limbs(w[1])
     acc = np.zeros(w[0].shape)
     for amp, harmonic, kind in m.terms():
-        top = _dd.fold_harmonic(w, harmonic)[0]
+        top = _dd.fold_top(w, w0_limbs, harmonic)
         if kind == "cosine":
             top += np.uint64(2**62)  # a quarter turn: cos(2 pi w) = sin(2 pi (w + 1/4))
         s = _dd.phase_sin(top)

@@ -437,7 +437,8 @@ _EPS = 2.220446049250313e-16
 _U = 0.5 * _EPS
 _ELL = 2**32 * math.factorial(32) ** 2 / math.factorial(64)  # max |P_32| / its lead
 # panel rows x (nodes + components) of one block of orders: keeps a block's
-# arrays near 1 MB at any order count, and each product on one BLAS thread
+# arrays near 1 MB at any order count (the package, not the block size,
+# keeps BLAS on one thread: __init__ loads numpy that way)
 _BLOCK_ELEMENTS = 2**15
 _INV_SQRT_PI = 0.5641895835477563
 # largest |n| accepted as a moment order

@@ -56,8 +56,8 @@ _MAX_TERMS = 10_000
 _MAX_SAMPLES = 4096
 _MAX_PROBES = 256
 # element budgets of one block: terms x folded phases, and bases x offsets;
-# together they keep each matrix product under ~370k multiply-adds, which
-# BLAS runs on one thread (a second one would add CPU time, not speed)
+# they bound a block's memory (each matrix product stays under ~370k
+# multiply-adds; the package, not the block size, keeps BLAS on one thread)
 _TERM_BLOCK = 2**12
 _GRID_BLOCK = 2**15
 

@@ -192,6 +192,13 @@ class TestExitCodes:
             main(["vanish", "--n", "5..2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["moments", "vanish"])
+    def test_negative_span_in_the_equals_form(self, command, tmp_path):
+        # argparse reads "--n -3..2" as an option, so README gives "--n=-3..2"
+        code, rep = run_json(tmp_path, [command, "--n=-3..2"])
+        assert code == 0
+        assert sorted({c["inputs"]["n"] for c in rep["cases"]}) == list(range(-3, 3))
+
     def test_invalid_holder_profile(self, capsys):
         assert main(["holder", "--a", "1.2", "--b", "3"]) == 2
 

@@ -512,6 +512,56 @@ class TestBasePhase:
             measures._base_phase(k, *_dd.dd_log(np.exp([t * (1 + 2**-20)])))
 
 
+def full_fold_modulator(m, w):
+    """``measures._modulator_from_phase`` as it was: each term folded in
+    full by ``_dd.fold_harmonic`` and its low word dropped."""
+    acc = np.zeros(w[0].shape)
+    for amp, harmonic, kind in m.terms():
+        top = _dd.fold_harmonic(w, harmonic)[0]
+        if kind == "cosine":
+            top += np.uint64(2**62)
+        s = _dd.phase_sin(top)
+        s *= amp
+        acc += s
+    return acc
+
+
+def top_word_modulators():
+    # harmonics above TrigMode's 2**53 enter as Weierstrass b = h, which
+    # also folds h**2 mod 2**128
+    for h in (1, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1, 2**64 + 3, 2**128 - 1):
+        for kind in ("sine", "cosine"):
+            if h <= 2**53:
+                yield pytest.param(trig_modulator(1.0, 0.4, [(0.7, h, kind), (-0.2, 3, "sine")]),
+                                   id=f"h={h}-{kind}")
+            else:
+                yield pytest.param(weier_modulator(1.0, 0.4, 0.7, h, 2, kind), id=f"h={h}-{kind}")
+    for kind in ("sine", "cosine"):
+        yield pytest.param(weier_modulator(0.6162773713769765, 0.26, 0.5, 7, 34, kind),
+                           id=f"weier-b=7-N=34-{kind}")
+
+
+class TestTopWordFold:
+    """Folding only the top word of each term leaves every bit in place."""
+
+    @pytest.mark.parametrize("m", top_word_modulators())
+    def test_outputs_match_the_full_fold(self, m, monkeypatch):
+        d = PerturbedDensity.of(m)
+        inputs = (0.37, np.array([2.5]),
+                  np.exp(np.random.default_rng(5).uniform(-6.9, 6.9, 5000)))
+
+        def outputs():
+            # a scalar q-derivative is a QDerivativeSample; its value is compared
+            return [(type(v), np.asarray(getattr(v, "value", v)).tobytes())
+                    for x in inputs
+                    for v in (eval_modulator(m, x), eval_density(d, x),
+                              q_pearson_residual(d, x), q_derivative(m, x, m.weight.q))]
+
+        top_only = outputs()
+        monkeypatch.setattr(measures, "_modulator_from_phase", full_fold_modulator)
+        assert outputs() == top_only
+
+
 class TestPeakMemory:
     def test_5000_point_calls_stay_under_the_replaced_kernels_peaks(self):
         # the double-double series and division peaked at 945, 945 and
