@@ -7,13 +7,14 @@ exists, and a boolean verdict.  JSON output is the full report; CSV is
 a flat projection of the case list, one row per case with the inputs
 packed into a JSON string column.
 
-Report schema, version 5; the version changes with the report layout,
+Report schema, version 6; the version changes with the report layout,
 with what a verdict means or which points a seed gives, and with the
-package's public API (``qmoments.__all__``)::
+package's public API (``qmoments.__all__`` and the fields and methods of
+its classes)::
 
     {
       "header": {
-        "schema_version": 5,
+        "schema_version": 6,
         "package_version": "...",
         "timestamp": "...ISO 8601 UTC...",
         "command": "<subcommand>",
@@ -89,7 +90,7 @@ from .quadrature import (
 )
 from .roughness import holder_estimate
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 _DEFAULT_SEED = 20260817
 # size bounds: ~200 MB of pointwise work, a 1000 x 1000 Hankel or Gram matrix

@@ -4,7 +4,10 @@ Integrals of the log-normal weight against polynomial moments grow like
 ``exp((n + 1)**2 / (4 * k**2))`` and overflow float64 well inside the
 parameter ranges this package verifies.  A :class:`LogScaled` value stores a
 sign in ``{-1, 0, +1}`` together with ``ln(abs(value))``, which keeps every
-quantity representable while preserving exact comparisons of relative error.
+moment representable.  It is a carrier, with no arithmetic: the rounded
+sum in ``ln_abs`` costs about eps * |ln_abs| of the value, so a
+quadrature result keeps its mantissa beside its scale instead (see
+:class:`~qmoments.quadrature.QuadratureResult`).
 """
 
 from __future__ import annotations
@@ -69,82 +72,6 @@ class LogScaled:
             return self.sign * math.exp(self.ln_abs)
         except OverflowError:
             return self.sign * math.inf
-
-    def is_zero(self) -> bool:
-        return self.sign == 0
-
-    def abs(self) -> "LogScaled":
-        return LogScaled(abs(self.sign), self.ln_abs)
-
-    def __neg__(self) -> "LogScaled":
-        return LogScaled(-self.sign, self.ln_abs)
-
-    def __mul__(self, other: "LogScaled | float | int") -> "LogScaled":
-        if isinstance(other, (int, float)):
-            other = LogScaled.from_float(float(other))
-        if not isinstance(other, LogScaled):
-            return NotImplemented
-        s = self.sign * other.sign
-        if s == 0:
-            return LogScaled.zero()
-        return LogScaled(s, self.ln_abs + other.ln_abs)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "LogScaled | float | int") -> "LogScaled":
-        if isinstance(other, (int, float)):
-            other = LogScaled.from_float(float(other))
-        if not isinstance(other, LogScaled):
-            return NotImplemented
-        if other.sign == 0:
-            raise ZeroDivisionError("division by LogScaled zero")
-        if self.sign == 0:
-            return LogScaled.zero()
-        return LogScaled(self.sign * other.sign, self.ln_abs - other.ln_abs)
-
-    def __add__(self, other: "LogScaled | float | int") -> "LogScaled":
-        if isinstance(other, (int, float)):
-            other = LogScaled.from_float(float(other))
-        if not isinstance(other, LogScaled):
-            return NotImplemented
-        if self.sign == 0:
-            return other
-        if other.sign == 0:
-            return self
-        # Anchor on the larger magnitude; the correction is exp of a
-        # nonpositive number, so log1p never sees an argument below -1.
-        if self.ln_abs >= other.ln_abs:
-            big, small = self, other
-        else:
-            big, small = other, self
-        ratio = small.sign * big.sign * math.exp(small.ln_abs - big.ln_abs)
-        if ratio == -1.0:
-            return LogScaled.zero()
-        return LogScaled(big.sign, big.ln_abs + math.log1p(ratio))
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "LogScaled | float | int") -> "LogScaled":
-        if isinstance(other, (int, float)):
-            other = LogScaled.from_float(float(other))
-        if not isinstance(other, LogScaled):
-            return NotImplemented
-        return self.__add__(-other)
-
-    def ratio_to(self, other: "LogScaled") -> float:
-        """``self / other`` as a float64; exact in the log domain first."""
-        q = self.__truediv__(other)
-        return q.to_float()
-
-    def rel_deviation_from(self, other: "LogScaled") -> float:
-        """``|self/other - 1|`` computed stably for nearby magnitudes."""
-        if other.sign == 0:
-            raise ZeroDivisionError("relative deviation from zero")
-        if self.sign == 0:
-            return 1.0
-        if self.sign != other.sign:
-            return 1.0 + math.exp(self.ln_abs - other.ln_abs)
-        return abs(math.expm1(self.ln_abs - other.ln_abs))
 
     def __repr__(self) -> str:
         if self.sign == 0:

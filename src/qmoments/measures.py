@@ -62,8 +62,8 @@ _MAX_PHASE = 2.0**104
 
 class BudgetExceededError(ValueError):
     """Refusal, with the reason named, of an admitted input for which
-    float64 cannot give an answer: node budget, granularity, ln q, phase,
-    moment exponent or basis.  The CLI reports it as a failed case."""
+    float64 cannot give an answer: node budget, window center, ln q,
+    phase, moment exponent or basis.  The CLI reports it as a failed case."""
 
 
 def _check_positive_finite(value: float, name: str) -> float:

@@ -10,12 +10,14 @@ stationary point ``mu = (n + 1) / (2 k**2)`` turns this into
 
     exp(sigma) * integral of exp(-k**2 s**2 + c0 + c1 s) * Phi(mu + s) ds,
 
-with ``sigma = (n + 1)**2 / (4 k**2)``.  The factor ``exp(sigma)`` is
-carried symbolically (see :class:`~qmoments.logscale.LogScaled`).  As k
-is a binary fraction, mu, sigma and the centering residuals c0 and c1
-are exact rationals, formed in integers and rounded once each; c0 and c1
-are O(eps * sigma), so the kernel integrand is O(1) and accurate to a
-few eps however large the moments grow.
+with ``sigma = (n + 1)**2 / (4 k**2)``.  As k is a binary fraction, mu,
+sigma and the centering residuals c0 and c1 are exact rationals, formed
+in integers and rounded once each.  c0 completes the square about the
+exact center, so the kernel integrand is an O(1) Gaussian of mass
+sqrt(pi)/k and the exponent sigma is the exact one: a result keeps its
+mantissa, the integral over exp(sigma), beside ``ln_scale``, sigma
+rounded once, and no rounding of the exponent enters the mantissa however
+large the moments grow.
 
 Design points
 -------------
@@ -46,17 +48,17 @@ Design points
   result is shared across moment orders n: the n-independence of the
   modulator factor is a claim under test.
 * Three error components are recorded separately: quadrature (the
-  derived bound plus the eps * sigma granularity of the log-scaled
-  value), Gaussian domain truncation, and (for Weierstrass content) the
+  derived bound and the mantissa's own roundings), Gaussian domain
+  truncation about the exact center, and (for Weierstrass content) the
   dropped series tail.  The first two bound the deviation from the exact
   integral of the *constructed, truncated* object and form
   ``error_estimate``; the series component measures distance to the
   untruncated limit object and is reported alongside, not mixed in.
 * Every integral is planned up front, and the plan builds its one panel
   grid.  A harmonic above 2**53, a k with no finite double-double ln q,
-  an order whose eps * sigma reaches 1 (see :func:`_plan_components`) or
-  a plan above the node budget raises :class:`BudgetExceededError`
-  rather than silently under-resolving.
+  an order whose rounded center may miss the exact one by 2**-4/k (see
+  :func:`_plan_components`) or a plan above the node budget raises
+  :class:`BudgetExceededError` rather than silently under-resolving.
 """
 
 from __future__ import annotations
@@ -160,11 +162,13 @@ class QuadratureSpec:
 class QuadratureResult:
     """One verified integral with its error budget.
 
-    ``value`` is the integral itself in (sign, ln|value|) form.
-    ``ln_scale`` is the log of the natural reference magnitude of the
-    integral family (the closed-form moment for moment integrals, the
-    un-oscillated raw moment for vanishing integrals); all ``rel_*``
-    error components are relative to ``exp(ln_scale)``.
+    ``mantissa`` is the integral in units of its scale: the closed-form
+    moment exp((n+1)**2 / (4 k**2)) for moment integrals, that times
+    sqrt(pi)/k (the un-oscillated raw moment) for vanishing integrals.  The
+    scale's exponent is an exact rational; ``ln_scale`` is its log rounded,
+    and the mantissa is relative to the exact scale, so it carries no
+    rounding of the exponent.  All ``rel_*`` error components are relative
+    to the same scale.
 
     ``error_estimate`` = quadrature bound + domain truncation: it
     bounds the deviation from the exact integral of the constructed
@@ -172,7 +176,7 @@ class QuadratureResult:
     from a truncated Weierstrass modulator to its untruncated limit.
     """
 
-    value: LogScaled
+    mantissa: float
     ln_scale: float
     rel_quad_error: float
     rel_tail_error: float
@@ -184,31 +188,36 @@ class QuadratureResult:
     def error_estimate(self) -> float:
         return self.rel_quad_error + self.rel_tail_error
 
+    @property
+    def value(self) -> LogScaled:
+        """The integral itself, for display: ln_scale + ln|mantissa|, rounded."""
+        if self.mantissa == 0.0:
+            return LogScaled.zero()
+        sign = 1 if self.mantissa > 0.0 else -1
+        return LogScaled(sign, self.ln_scale + math.log(abs(self.mantissa)))
+
     def value_over_scale(self) -> float:
-        """The integral in units of exp(ln_scale); safe at any magnitude."""
-        if self.value.sign == 0:
-            return 0.0
-        return self.value.sign * math.exp(self.value.ln_abs - self.ln_scale)
+        """The integral in units of exp(ln_scale): the stored mantissa."""
+        return self.mantissa
 
 
 def _center_residuals(k: float, n: int):
-    """mu, sigma and the tiny c0, c1 with (n+1)t - k^2 t^2 = sigma + c0 + c1 s - k^2 s^2.
+    """mu, sigma and the tiny c0, c1 with (n+1)t - k^2 t^2 = sigma_exact + c0 + c1 s - k^2 s^2.
 
     k is a binary fraction, so mu = (n+1)/(2 k**2), sigma = (n+1)**2/(4
-    k**2) and the residuals of their roundings, c1 = (n+1) - 2 k^2 mu and
-    c0 = (n+1) mu - k^2 mu^2 - sigma, are exact rationals, each rounded
-    once by int / int.  That raises OverflowError if mu or sigma has no
-    float64 value.
+    k**2) and c1 = (n+1) - 2 k^2 mu = 2 k^2 s0, with s0 = mu_exact - mu,
+    are exact rationals, each rounded once by int / int; so is c0 =
+    -c1**2/(4 k**2), from c1's integer numerator.  The exponent is then
+    sigma_exact - k^2 (s - s0)**2 exactly: sigma_exact, not its rounding,
+    is the scale a mantissa is relative to.  int / int raises
+    OverflowError if mu or sigma has no float64 value.
     """
     kn, kd = k.as_integer_ratio()
     m, a, b = n + 1, kn * kn, kd * kd  # k**2 = a / b
-    sigma = m * m * b / (4 * a)
     mu = m * b / (2 * a)
     mn, md = mu.as_integer_ratio()
-    sn, sd = sigma.as_integer_ratio()
-    c1 = (m * md * b - 2 * a * mn) / (md * b)
-    c0 = ((m * md * b - a * mn) * mn * sd - sn * md * md * b) / (md * md * b * sd)
-    return mu, sigma, c0, c1
+    num, den = m * md * b - 2 * a * mn, md * b  # c1 = num / den
+    return mu, m * m * b / (4 * a), -(num * num * b) / (4 * a * den * den), num / den
 
 
 def _panel_grid(T: float, p: int):
@@ -328,12 +337,13 @@ def _panel_integrals(k, orders, components, grid):
     P_l(x_i)``: these integrate E's degree-31 interpolant I E at the nodes
     against exp(i a x) over [-1, 1] exactly.
 
-    Returns each order's sigma, the (orders, panels, components) partials
-    and an (orders, components) bound on each panel sum's error relative
-    to sqrt(pi)/k: E's peak M = exp(c0 + c1**2/(4 k**2)) times three parts
-    relative to E's mass M sqrt(pi)/k.  Here u = 2**-53, kappa = k half <=
-    0.375, p panels, S(a) = sum_l (2l+1) |j_l(a)| >= |W_i|/w_i, and R =
-    max_i |W_i|/w_i as computed (measured <= 1.24, about S/3 past a = 300).
+    Returns each order's (sigma, c1), the (orders, panels, components)
+    partials and an (orders, components) bound on each panel sum's error
+    relative to sqrt(pi)/k: E's peak M = exp(c0 + c1**2/(4 k**2)), at s0 =
+    c1/(2 k**2), times three parts relative to E's mass M sqrt(pi)/k.
+    Here u = 2**-53, kappa = k half <= 0.375, p panels, S(a) = sum_l (2l+1)
+    |j_l(a)| >= |W_i|/w_i, and R = max_i |W_i|/w_i as computed (measured
+    <= 1.24, about S/3 past a = 300).
 
     * Interpolation: E - I E = ell(x) E[x_1..x_32, x], where ell = P_32
       over its leading coefficient is at most 2**32 (32!)**2/64! on [-1,
@@ -347,10 +357,12 @@ def _panel_integrals(k, orders, components, grid):
       With the 32-term product they cost R sum_i w_i E_i (36 + 9 k**2
       s_i**2 + 2 kappa**2) u; as Gauss-Legendre sums E and k**2 s**2 E to
       the mass and half of it, 43 u R covers them and all products of
-      terms.  A panel's exact value is at most its sum_i w_i E_i, so its
-      anchor (2**-50 rad, 8 u), cos and sin (2 u), rotation (2 u), factor
-      half (u) and a, rounded by 4.4 u |a| (by parts, 4.4 u (2 + 2
-      kappa/sqrt(pi)) of the mass), add 24 u; the panel sum adds p u.
+      terms; with k |s0| < 2**-4 (:func:`_plan_components`), the shifted
+      k**2 s**2 E and the rounding of c1 s add under u.  A panel's exact
+      value is at most its sum_i w_i E_i, so its anchor (2**-50 rad, 8 u),
+      cos and sin (2 u), rotation (2 u), factor half (u) and a, rounded by
+      4.4 u |a| (by parts, 4.4 u (2 + 2 kappa/sqrt(pi)) of the mass), add
+      24 u; the panel sum adds p u.
     * Weights: sum_i |W_i - exact| <= 2 eps S(a) (checked with mpmath,
       measured 0.78 eps); against each panel's largest E_i, summing to at
       most 1/2 + 2 kappa/sqrt(pi) < 1 of the mass, that is 2 eps S.
@@ -374,11 +386,12 @@ def _panel_integrals(k, orders, components, grid):
     interpolation = 2.0 * _INV_SQRT_PI * p * kappa * _ELL * (math.e / 16.0 * kappa * kappa) ** 16
     per_mass = interpolation + (43.0 * reach + 24.0 + p) * _U + 2.0 * _EPS * spread
     peak = np.exp(res[:, 2, 0] + (0.5 / k * res[:, 3, 0]) ** 2)
-    return res[:, 1, 0, 0].tolist(), half * np.where(sine, z.imag, z.real), peak * per_mass
+    return res[:, 1::2, 0, 0].tolist(), half * np.where(sine, z.imag, z.real), peak * per_mass
 
 
 def _each_order(k, orders, components, grid, result):
-    """``result(sigma, partials, bound)`` per order, in blocks of ``_BLOCK_ELEMENTS``."""
+    """``result((sigma, c1), partials, bound)`` per order, in blocks of
+    ``_BLOCK_ELEMENTS``."""
     size = max(1, _BLOCK_ELEMENTS // (grid[0].size * (_NODES_PER_PANEL + len(components))))
     for i in range(0, len(orders), size):
         for parts in zip(*_panel_integrals(k, orders[i : i + size], components, grid)):
@@ -395,9 +408,12 @@ def _plan_components(k, orders, modes, spec: QuadratureSpec):
     at all.  A k whose window has no finite panel count, or whose ln q is
     not a finite double-double (:func:`~qmoments.measures._lnq_dd`), is
     refused, so that the quadrature admits the same k as the pointwise
-    evaluators.  Where eps * sigma >= 1 the granularity of the log-scaled
-    value alone exceeds the value, so the order with the largest |n + 1|
-    must have (n+1)**2 < 2**54 k**2, compared in integers.
+    evaluators.  The window is centred on mu, (n+1)/(2 k**2) rounded, and
+    the Gaussian on the exact center, s0 away with k |s0| <= 2**-54 |n+1|/k.
+    The tail term charges that offset, and the panel bound holds while it
+    is below 2**-4, so the order with the largest |n + 1| must have |n + 1|
+    < 2**50 k, compared in integers.  That also keeps sigma below 2**98 and
+    |mu| below 2**99, so every admitted order has float64 mu and sigma.
     """
     orders = [_check_int(n, "moment order", -_MAX_ORDER, _MAX_ORDER) for n in orders]
     T = spec.truncation or math.sqrt(math.log(10.0 / spec.rel_tol)) / k
@@ -425,10 +441,10 @@ def _plan_components(k, orders, modes, spec: QuadratureSpec):
     _lnq_dd(k)
     n = max(orders, key=lambda n: abs(n + 1), default=-1)
     kn, kd = k.as_integer_ratio()
-    if ((n + 1) * kd) ** 2 >= kn * kn << 54:
+    if abs(n + 1) * kd >= kn << 50:
         raise BudgetExceededError(
-            f"cannot integrate order n={n} at k={k!r}: eps * (n+1)**2/(4 k**2), "
-            "the granularity of the log-scaled value, is >= 1"
+            f"cannot integrate order n={n} at k={k!r}: the window's center, "
+            "(n+1)/(2 k**2) rounded, may be 2**-4/k or more from the exact one"
         )
     return orders, T, grid
 
@@ -464,13 +480,6 @@ def _series_tail(obj) -> float:
     return 0.0
 
 
-def _log_value(sigma: float, x: float) -> LogScaled:
-    """exp(sigma) * x, stored as sigma + ln|x| with the sign of x."""
-    if x == 0.0:
-        return LogScaled.zero()
-    return LogScaled(1 if x > 0 else -1, sigma + math.log(abs(x)))
-
-
 def integrate_moment(
     obj: Union[LogNormalWeight, PerturbedDensity],
     n: int,
@@ -497,22 +506,21 @@ def _integrate_orders(obj, orders, spec: QuadratureSpec = QuadratureSpec()):
 
     amps = np.array([1.0] + [lam * a for a, _, _ in modes])
     abs_amps = np.abs(amps)
-    sup = sum(abs(a) for a, _, _ in modes)
-    rel_tail = (1.0 + abs(lam) * sup) * math.erfc(k * T)
+    sup_factor = 1.0 + abs(lam) * sum(abs(a) for a, _, _ in modes)  # of |1 + lam Phi|
     series_tail = _series_tail(obj)
+    unit = k * _INV_SQRT_PI
 
-    def result(sigma, partials, bound):
+    def result(center, partials, bound):
+        sigma, c1 = center
         parts = partials.sum(axis=0)
-        total = float(amps @ parts)
-        i_hat = (k * _INV_SQRT_PI) * total
-        # the sum over components, i_hat, exp and log cost (components + 8) u of
-        # sum |amp part|; sigma and sigma + ln|i_hat| cost u |sigma| sum |amp| each
-        rounding = (amps.size + 8) * _U * (k * _INV_SQRT_PI) * float(abs_amps @ np.abs(parts))
+        # the amplitudes, the sum over components and the factor unit cost
+        # (components + 4) u of sum |amp part|
+        rounding = (amps.size + 4) * _U * unit * float(abs_amps @ np.abs(parts))
         return QuadratureResult(
-            value=_log_value(sigma, i_hat),
+            mantissa=unit * float(amps @ parts),
             ln_scale=sigma,
-            rel_quad_error=float(abs_amps @ (bound + _EPS * abs(sigma))) + rounding,
-            rel_tail_error=rel_tail,
+            rel_quad_error=float(abs_amps @ bound) + rounding,
+            rel_tail_error=sup_factor * math.erfc(k * T - abs(c1) / (2.0 * k)),
             series_tail_budget=series_tail,
             nodes_used=_NODES_PER_PANEL * partials.size,
             truncation=T,
@@ -532,10 +540,10 @@ def vanishing_integral(
 
     This is the raw-kernel oscillatory integral whose exact value is 0
     for every integer n and j >= 1; nothing in the evaluation path knows
-    that, so its smallness is evidence, not construction.  ``ln_scale``
-    is the log of the same integral without the sine factor,
-    ``sigma + ln(sqrt(pi)/k)``; compare ``|value|`` against
-    ``max(error_estimate, rel_tol) * exp(ln_scale)``.
+    that, so its smallness is evidence, not construction.  The scale is
+    the same integral without the sine factor, exp(sigma) sqrt(pi)/k, and
+    ``ln_scale`` is ``sigma + ln(sqrt(pi)/k)``; compare
+    ``|value_over_scale()|`` against ``error_estimate``.
     """
     return next(_vanishing_orders(w, [n], j, spec))
 
@@ -549,17 +557,17 @@ def _vanishing_orders(w, orders, j, spec: QuadratureSpec = QuadratureSpec()):
     k = w.k
     orders, T, grid = _plan_components(k, orders, [(1.0, j, "sine")], spec)
 
-    inv_scale = k / math.sqrt(math.pi)
+    ln_mass = math.log(math.sqrt(math.pi) / k)
 
-    def result(sigma, partials, bound):
-        j_sin = float(partials.sum())
+    def result(center, partials, bound):
+        sigma, c1 = center
+        mantissa = k * _INV_SQRT_PI * float(partials.sum())
         return QuadratureResult(
-            value=_log_value(sigma, j_sin),
-            ln_scale=sigma + math.log(math.sqrt(math.pi) / k),
-            # the stored sigma + ln|j_sin| is off by ~eps * |sigma| of the
-            # value itself, near 0 here; its other roundings are as small
-            rel_quad_error=float(bound[0]) + _EPS * abs(sigma) * inv_scale * abs(j_sin),
-            rel_tail_error=math.erfc(k * T),
+            mantissa=mantissa,
+            ln_scale=sigma + ln_mass,
+            # the factor k/sqrt(pi) costs 3 u of the mantissa
+            rel_quad_error=float(bound[0]) + 3 * _U * abs(mantissa),
+            rel_tail_error=math.erfc(k * T - abs(c1) / (2.0 * k)),
             series_tail_budget=0.0,
             nodes_used=_NODES_PER_PANEL * partials.size,
             truncation=T,

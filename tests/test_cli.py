@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qmoments
-from qmoments import LogScaled, MOMENT_SIGN_NOTE, cli, modulator_from_dict, quadrature
+from qmoments import MOMENT_SIGN_NOTE, cli, modulator_from_dict, quadrature
 from qmoments.cli import SCHEMA_VERSION, _cases_or_refusals, main
 from qmoments.quadrature import modulator_moment_factor
 
@@ -51,7 +51,7 @@ class TestReportShape:
         )
         assert code == 0
         h = rep["header"]
-        assert h["schema_version"] == 5
+        assert h["schema_version"] == 6
         assert h["command"] == "vanish"
         assert "backend" not in h
         assert h["moment_convention"] == MOMENT_SIGN_NOTE
@@ -252,8 +252,7 @@ class TestExitCodes:
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("args, ids, reason", [
-        (["moments", "--k", "1", "--n", "10000000000"],
-         ["moments/k=1.0/n=10000000000"], "n=10000000000 at k=1.0"),
+        (["moments", "--k", "1e-20", "--n", "0"], ["moments/k=1e-20/n=0"], "n=0 at k=1e-20"),
         (["hankel", "--k", "1e-200", "--dim", "2"], ["hankel/k=1e-200"], "n=0 at k=1e-200"),
         (["gram", "--k", "1e-200"], ["gram/k=1e-200/self"], "n=0 at k=1e-200"),
         (["gram", "--modulator", '{"k": 1e-200, "lambda": 0.5, '
@@ -262,8 +261,9 @@ class TestExitCodes:
     ], ids=["moments-sigma", "hankel-closed-form", "gram-closed-form", "gram-cross"])
     def test_float64_exponent_limits_are_named_failed_cases(self, args, ids, reason,
                                                             tmp_path, capsys):
-        # eps * sigma >= 1 in the quadrature, and a closed-form sigma with
-        # no float64 value: numerical refusals, not configuration errors
+        # a window center whose rounding, u sqrt(sigma) of the width, may
+        # reach 2**-4 in the quadrature, and a closed-form sigma with no
+        # float64 value: numerical refusals, not configuration errors
         code, rep = run_json(tmp_path, args)
         assert code == 1
         assert sorted(c["id"] for c in rep["cases"]) == ids
@@ -384,6 +384,18 @@ class TestExitCodes:
         assert case["pass"] is True and case["value"] <= 1e-15
 
 
+class TestSmallK:
+    @pytest.mark.parametrize("k, n", [(0.01, 10), (0.5, 999), (0.001, 999)])
+    def test_small_k_moment_passes(self, k, n, tmp_path):
+        # once refused: bounds with eps * sigma in them read 1.0e-10,
+        # 3.3e-10 and 8.3e-5 against the tolerance 1e-10
+        code, rep = run_json(tmp_path, ["moments", "--modulator", sine1_mod(k), "--n", str(n)])
+        assert code == 0
+        (case,) = rep["cases"]
+        assert case["pass"] is True
+        assert abs(case["value"] - 1.0) <= case["error_estimate"] < 1e-13
+
+
 class TestGram:
     def test_high_degree_at_a_broad_weight_passes(self, tmp_path):
         code, rep = run_json(tmp_path, ["gram", "--k", "0.45", "--degree", "8"])
@@ -431,8 +443,7 @@ def shift_one_order(monkeypatch, name, order, by):
         orders = list(orders)
         for n, r in zip(orders, real(obj, orders, *args)):
             if n == order:
-                moved = LogScaled.from_float(r.value_over_scale() + by)
-                r = dataclasses.replace(r, value=moved * LogScaled.exp(r.ln_scale))
+                r = dataclasses.replace(r, mantissa=r.mantissa + by)
             yield r
 
     monkeypatch.setattr(cli, name, shifted)
@@ -458,6 +469,26 @@ class TestDecisionRule:
                 miss = abs(case["value"] - case["reference"]) - case["error_estimate"]
                 assert miss > case["tolerance"]
         assert sum(c["id"].endswith("/spread") for c in rep["cases"]) == (args[0] == "ratio")
+
+    @pytest.mark.parametrize("mod, n", [(SINE3_MOD, 1), (sine1_mod(0.001), 999)],
+                             ids=["battery", "small-k"])
+    def test_shifted_centering_fails_a_moment(self, mod, n, tmp_path, monkeypatch):
+        # c0 moved by 5 tolerances scales every integrand by exp(5e-10), so
+        # the exponent is no longer the closed form's: the moment case must
+        # FAIL with its value and bound, never be refused.  At k = 0.001, n
+        # = 999 a bound with eps * sigma in it read 8.3e-5 and hid the shift.
+        real = quadrature._center_residuals
+
+        def shifted(k, n):
+            mu, sigma, c0, c1 = real(k, n)
+            return mu, sigma, c0 + 5e-10, c1
+
+        monkeypatch.setattr(quadrature, "_center_residuals", shifted)
+        code, rep = run_json(tmp_path, ["moments", "--modulator", mod, "--n", str(n)])
+        assert code == 1
+        (case,) = rep["cases"]
+        assert case["pass"] is False and "reason" not in case["inputs"]
+        assert abs(case["value"] - case["reference"]) - case["error_estimate"] > case["tolerance"]
 
     @settings(max_examples=60, deadline=None)
     @given(family=st.sampled_from(["vanish", "moments", "ratio", "gram"]),
@@ -512,9 +543,9 @@ _API_3 = [
     "positivity_bound", "q_derivative", "q_pearson_residual",
     "stieltjes_wigert_check", "vanishing_integral",
 ]
-# schema 4 changed the verdict rule and schema 5 every seed's sample
-# points, neither __all__
-PUBLIC_API = {3: _API_3, 4: _API_3, 5: _API_3}
+# schema 4 changed the verdict rule, schema 5 every seed's sample points
+# and schema 6 QuadratureResult's fields, none of them __all__
+PUBLIC_API = {3: _API_3, 4: _API_3, 5: _API_3, 6: _API_3}
 
 
 def test_public_api_is_frozen_with_the_schema_version():

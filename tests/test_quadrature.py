@@ -12,6 +12,7 @@ import re
 import sys
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -20,7 +21,7 @@ from test_measures import trig_modulator, weier_modulator
 
 from qmoments import quadrature as qd
 from qmoments.logscale import LogScaled
-from qmoments.measures import LogNormalWeight, PerturbedDensity
+from qmoments.measures import LogNormalWeight, PerturbedDensity, modulator_from_dict
 from qmoments.quadrature import (
     MOMENT_SIGN_NOTE,
     BudgetExceededError,
@@ -68,12 +69,10 @@ def test_base_moment_matches_closed_form(k, n):
     assert r.value.sign == 1
     dev = abs(r.value_over_scale() - 1.0)
     assert dev <= 1e-12
-    closed = base_moment_closed_form(w, n)
-    sigma = closed.ln_abs
-    # honesty: the estimate must cover the actual deviation up to the
-    # granularity of the (sign, ln) representation itself, ~sigma * eps
-    assert dev <= r.error_estimate + 4e-16 * max(1.0, abs(sigma))
-    assert r.value.rel_deviation_from(closed) <= max(1e-12, 8e-16 * abs(sigma))
+    # honesty: the mantissa is relative to the exact exp(sigma), so the
+    # estimate covers the deviation with no allowance for sigma's rounding
+    assert dev <= r.error_estimate
+    assert r.ln_scale == base_moment_closed_form(w, n).ln_abs
     assert r.series_tail_budget == 0.0
     assert r.nodes_used > 0
     if (k, n) in FROZEN_BASE_LN:
@@ -88,7 +87,7 @@ def test_moment_sign_convention_positive_exponent():
     assert abs(r.value.ln_abs - 1.0) < 1e-9
     assert r.value.ln_abs > 0.0
     wrong = LogScaled.exp(-1.0)
-    assert r.value.rel_deviation_from(wrong) > 1.0
+    assert r.value.ln_abs - wrong.ln_abs > math.log(2.0)  # |r / wrong - 1| > 1
     r3 = integrate_moment(LogNormalWeight(0.5), 3)
     assert abs(r3.value.ln_abs - 16.0) < 1e-8
     assert "exp(+(n+1)**2 / (4*k**2))" in MOMENT_SIGN_NOTE
@@ -305,33 +304,32 @@ def test_moment_order_validation():
 @pytest.mark.parametrize("n", [10, 20, 40])
 def test_error_estimate_covers_log_scale_granularity(n):
     # The battery's mix modulator at k = 0.45: sigma = (n+1)^2/(4 k^2)
-    # reaches ~2075 at n = 40, and the (sign, ln) value then carries
-    # ~eps * sigma of representation error in value_over_scale(), well
-    # above the quadrature refinement figure alone.
+    # reaches ~2075 at n = 40, where a value kept as the rounded sum sigma
+    # + ln|mantissa| would carry ~eps * sigma (4.6e-13) of granularity.  The
+    # mantissa sits beside the exact scale and carries none of it: the
+    # bound covers the deviation and stays below 1e-13 at every n.
     d = density(0.45, -0.6, [(0.5, 1, "cosine"), (0.5, 3, "sine")])
     factor = modulator_moment_factor(d.modulator)
     r = integrate_moment(d, n)
-    sigma = base_moment_closed_form(d.weight, n).ln_abs
-    assert r.rel_quad_error >= 2.220446049250313e-16 * sigma
-    assert abs(r.value_over_scale() - factor) <= r.error_estimate
+    assert abs(r.value_over_scale() - factor) <= r.error_estimate < 1e-13
 
 
 @pytest.mark.parametrize("k, lam, n", [(0.1, 0.9, 12), (0.1, 0.99, 72), (0.15, 0.9, 9),
                                        (0.15, 0.9, 54)])
 def test_log_scale_granularity_scales_with_the_factor(k, lam, n):
     # A cosine mode at small k lifts every moment by up to 1.67x, and the
-    # eps * sigma rounding of the log-scaled value grows with it: eps *
-    # sigma of the scale alone missed each of these by 2-37%.
+    # bound's rounding terms must grow with it; a bound taken relative to
+    # the scale alone once missed each of these by 2-37%.
     d = density(k, lam, [(1.0, 1, "cosine")])
     r = integrate_moment(d, n)
     assert abs(r.value_over_scale() - modulator_moment_factor(d.modulator)) <= r.error_estimate
 
 
 def test_vanishing_error_estimate_scales_granularity_by_value():
-    # A vanishing integral's value is ~0, so its eps * sigma representation
-    # error is relative to that value, not to the scale; adding eps * sigma
-    # of the scale (~4.6e-13 at n = 40) would loosen the very comparison
-    # that tests the identity.
+    # A vanishing integral's value is ~0, so the rounding of its mantissa
+    # is relative to that value, not to the scale; an eps * sigma term of
+    # the scale (~4.6e-13 at n = 40) would loosen the very comparison that
+    # tests the identity.
     w = LogNormalWeight(0.45)
     sigma = base_moment_closed_form(w, 40).ln_abs
     r = vanishing_integral(w, 40, 1)
@@ -412,8 +410,13 @@ def test_centering_rounds_each_exact_rational_once(k, n):
     mu, sigma, c0, c1 = qd._center_residuals(k, n)
     assert mu == float(mu_exact)
     assert sigma == float(sigma_exact)
-    assert c1 == float(m - 2 * k2 * Fraction(mu))
-    assert c0 == float(m * Fraction(mu) - k2 * Fraction(mu) ** 2 - Fraction(sigma))
+    c1_exact = m - 2 * k2 * Fraction(mu)
+    assert c1 == float(c1_exact)
+    # c0 completes the square about the exact center: the exponent is the
+    # exact sigma, not its rounding
+    c0_exact = -c1_exact**2 / (4 * k2)
+    assert m * Fraction(mu) - k2 * Fraction(mu) ** 2 - c0_exact == sigma_exact
+    assert c0 == float(c0_exact)
 
 
 @pytest.mark.filterwarnings("error")
@@ -423,6 +426,7 @@ def test_centering_rounds_each_exact_rational_once(k, n):
 @example(k=1.0, n=10**11, j=1)
 @example(k=0.01, n=10**12, j=1)
 @example(k=1e-90, n=0, j=1)
+@example(k=1e-150, n=2**48, j=1)  # sigma and mu would overflow float64
 @example(k=1e-120, n=-1, j=1)
 @example(k=1e-310, n=0, j=1)
 @example(k=1e308, n=0, j=1)
@@ -437,27 +441,70 @@ def test_admitted_k_and_n_end_in_their_bound_or_a_named_refusal(k, n, j):
         assert abs(r.value_over_scale() - exact) <= r.error_estimate
 
 
-@pytest.mark.parametrize("k, n", [(1.0, 10**10), (1.0, 10**11), (0.01, 10**12), (1e-90, 0)])
+@pytest.mark.parametrize("k, n", [(1e-20, 0), (0.01, 2**48), (0.1, -(2**48)), (1e-90, 0)])
 def test_sigma_granularity_is_a_named_refusal(k, n):
-    # eps * sigma >= 1: the value's log-scaled granularity alone would
-    # exceed the value, so no number is reported
+    # The window is centred on mu = (n+1)/(2 k**2) rounded, within u |mu|,
+    # so the Gaussian's exact center may lie u sqrt(sigma) / k away: where
+    # that granularity may reach 2**-4 of the width 1/k, no number is
+    # reported.  At k = 1e-20 and 1e-90 with n = 0 it is ~6e3 and ~6e73.
     w = LogNormalWeight(k)
     for call in (lambda: integrate_moment(w, n), lambda: vanishing_integral(w, n, 1)):
         with pytest.raises(BudgetExceededError, match=re.escape(f"n={n} at k={k!r}")):
             call()
 
 
+@pytest.mark.parametrize("k, n", [(0.05, 50), (0.2, 17)])
+def test_small_k_cosine_moments_match_mpmath(k, n):
+    # sigma = 2.6e5 and 2.0e3, where eps * sigma once entered every bound;
+    # the cosine mode scales the moments by 1.27 and 1.06, and the
+    # mantissa meets 30-digit tanh-sinh within its bound
+    desc = {"k": k, "lambda": 0.6, "modes": [{"a": 0.5, "b": 1, "kind": "cosine"},
+                                             {"a": 0.5, "b": 2, "kind": "sine"}]}
+    ref = oracles.mp_moment_quad(desc, n, dps=30) / mpmath.exp(
+        mpmath.mpf(n + 1) ** 2 / (4 * mpmath.mpf(k) ** 2))
+    r = integrate_moment(PerturbedDensity.of(modulator_from_dict(desc)), n)
+    assert abs(r.value_over_scale() - float(ref)) <= r.error_estimate < 1e-13
+
+
+@pytest.mark.parametrize("n", [112588, -112589])
+@pytest.mark.parametrize("rel_tol", [1e-2, 1e-4])
+def test_tail_term_charges_the_center_offset(n, rel_tol):
+    # At k = 1e-10 the Gaussian's center lies k |s0| = 0.016 and 0.040 from
+    # the window's: the deviation, mostly the lost tail, passes erfc(k T)
+    # plus the quadrature bound, and erfc(k (T - |s0|)) covers it
+    k = 1e-10
+    r = integrate_moment(LogNormalWeight(k), n, QuadratureSpec(rel_tol=rel_tol))
+    dev = abs(r.value_over_scale() - 1.0)
+    assert r.rel_quad_error + math.erfc(k * r.truncation) < dev <= r.error_estimate
+
+
+@pytest.mark.parametrize("k, n", [(1.0, 10**10), (1.0, 10**11), (0.01, 10**12)])
+def test_orders_where_eps_sigma_passes_one_integrate(k, n):
+    # sigma reaches 2.5e21 and 2.5e27 here, where the (sign, ln) form
+    # could not hold the value; the mantissa beside the exact scale can
+    w = LogNormalWeight(k)
+    r = integrate_moment(w, n)
+    assert abs(r.value_over_scale() - 1.0) <= r.error_estimate < 1e-13
+    r = vanishing_integral(w, n, 1)
+    assert abs(r.value_over_scale()) <= r.error_estimate < 1e-13
+
+
 def test_sigma_refusal_is_exact_at_its_bound():
-    # eps * sigma >= 1 exactly when (n+1)**2 >= 2**54 k**2; at k = 1 the
-    # first refused |n + 1| is 2**27, and it refuses its whole block
-    w = LogNormalWeight(1.0)
-    r = integrate_moment(w, 2**27 - 2)
-    assert abs(r.value_over_scale() - 1.0) <= r.error_estimate < 1.0
-    for n in (2**27 - 1, -(2**27) - 1):
+    # k |mu - mu_exact| <= 2**-54 |n+1| / k reaches 2**-4 exactly when |n + 1|
+    # >= 2**50 k; at k = 1e-10 the first refused |n + 1| is floor(2**50 k) +
+    # 1 = 112590, and it refuses its whole block
+    k = 1e-10
+    first = math.floor(Fraction(k) * 2**50) + 1
+    assert first == 112590
+    w = LogNormalWeight(k)
+    for n in (first - 2, -first + 1):
+        r = integrate_moment(w, n)
+        assert abs(r.value_over_scale() - 1.0) <= r.error_estimate < 1e-13
+    for n in (first - 1, -first - 1):
         with pytest.raises(BudgetExceededError, match=f"n={n} "):
             integrate_moment(w, n)
-    with pytest.raises(BudgetExceededError, match=f"n={2**27 - 1} "):
-        qd._integrate_orders(w, [0, 2**27 - 1, 5])
+    with pytest.raises(BudgetExceededError, match=f"n={first - 1} "):
+        qd._integrate_orders(w, [0, first - 1, 5])
 
 
 @pytest.mark.parametrize("k", [3e-155, 1e-160, 1e-200, 5e-324])
