@@ -56,12 +56,11 @@ from .moments import (  # noqa: E402
     hankel_check,
     stieltjes_wigert_check,
 )
-from .qcalc import QDerivativeSample, q_derivative, q_pearson_residual  # noqa: E402
+from .qcalc import q_derivative, q_pearson_residual  # noqa: E402
 from .quadrature import (  # noqa: E402
     MOMENT_SIGN_NOTE,
     BudgetExceededError,
     QuadratureResult,
-    QuadratureSpec,
     base_moment_closed_form,
     integrate_moment,
     modulator_moment_factor,
@@ -89,9 +88,7 @@ __all__ = [
     "Modulator",
     "MomentSequence",
     "PerturbedDensity",
-    "QDerivativeSample",
     "QuadratureResult",
-    "QuadratureSpec",
     "TrigMode",
     "WeierstrassSpec",
     "__version__",

@@ -7,14 +7,14 @@ exists, and a boolean verdict.  JSON output is the full report; CSV is
 a flat projection of the case list, one row per case with the inputs
 packed into a JSON string column.
 
-Report schema, version 6; the version changes with the report layout,
+Report schema, version 7; the version changes with the report layout,
 with what a verdict means or which points a seed gives, and with the
 package's public API (``qmoments.__all__`` and the fields and methods of
 its classes)::
 
     {
       "header": {
-        "schema_version": 6,
+        "schema_version": 7,
         "package_version": "...",
         "timestamp": "...ISO 8601 UTC...",
         "command": "<subcommand>",
@@ -35,7 +35,8 @@ tolerance, FAIL when d - b > tolerance, and otherwise a refusal.  A ratio
 spread's b is the sum of its two extreme ratios' bounds; the exact
 convention case has b = 0.  Pearson and qderiv (ROADMAP item 4) and
 holder (item 5) have no derived bound yet: they decide with b = 0 and
-report null.  Hankel decides by a bare Cholesky (item 3).  A refusal is
+report null.  Hankel decides by its smallest eigenvalue's sign (item 3
+gives it a margin).  A refusal is
 a failed case with value, reference and error_estimate null and a
 ``reason`` in its inputs naming the case's inputs and what could not be
 decided; a ``BudgetExceededError`` or a numpy floating-point warning
@@ -50,7 +51,7 @@ so the output is always strict JSON.
 Exit status: 0 when every case passes, 1 when any case fails or is
 refused, 2 for configuration errors only (unknown flags, unparseable
 modulator JSON, bad ranges, size bounds, a negative or non-finite
-tolerance).
+tolerance, a rel-tol outside (0, 1e-2]).
 """
 
 import argparse
@@ -82,7 +83,7 @@ from .qcalc import q_derivative, q_pearson_residual
 from .quadrature import (
     MOMENT_SIGN_NOTE,
     BudgetExceededError,
-    QuadratureSpec,
+    _check_rel_tol,
     _integrate_orders,
     _vanishing_orders,
     base_moment_closed_form,
@@ -90,12 +91,14 @@ from .quadrature import (
 )
 from .roughness import holder_estimate
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 _DEFAULT_SEED = 20260817
-# size bounds: ~200 MB of pointwise work, a 1000 x 1000 Hankel or Gram matrix
+# size bounds: ~200 MB of pointwise work, a 1000 x 1000 Hankel or Gram matrix,
+# 10 000 orders or harmonics in one --n or --j span
 _MAX_POINTS = 1_000_000
 _MAX_DIM = 1000
+_MAX_SPAN = 10_000
 
 
 class ConfigError(Exception):
@@ -144,8 +147,8 @@ def _decided(cid, inputs, value, reference, tolerance, bound) -> Case:
 
 
 def _held_cases(heads, results, reference, tolerance) -> list:
-    """One case per head: a result's value_over_scale() held to reference."""
-    return [_decided(cid, inputs, r.value_over_scale(), reference, tolerance,
+    """One case per head: a result's mantissa held to reference."""
+    return [_decided(cid, inputs, r.mantissa, reference, tolerance,
                      r.error_estimate) for (cid, inputs), r in zip(heads, results)]
 
 
@@ -164,19 +167,25 @@ def _sanitize(obj):
 
 def _parse_span(text: str) -> tuple:
     """"lo..hi" -> (lo, ..., hi) inclusive; a bare integer -> (n,)."""
-    s = str(text).strip()
+    lo, dots, hi = str(text).strip().partition("..")
     try:
-        if ".." in s:
-            lo_s, hi_s = s.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
-            if hi < lo:
-                raise ValueError
-            return tuple(range(lo, hi + 1))
-        return (int(s),)
+        lo, hi = int(lo), int(hi if dots else lo)
+        if hi < lo:
+            raise ValueError
     except ValueError:
-        raise ValueError(
-            f"expected an integer or lo..hi range, got {text!r}"
-        ) from None
+        raise argparse.ArgumentTypeError(
+            f"expected an integer or lo..hi range, got {text!r}") from None
+    if hi - lo >= _MAX_SPAN:  # before any tuple is built
+        raise argparse.ArgumentTypeError(
+            f"a span holds at most {_MAX_SPAN} values, got {hi - lo + 1}")
+    return tuple(range(lo, hi + 1))
+
+
+def _rel_tol(text: str) -> float:
+    try:
+        return _check_rel_tol(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _load_modulator(raw: str) -> Modulator:
@@ -213,10 +222,6 @@ def _object_under_test(ns):
     return w, None, w
 
 
-def _spec(ns) -> QuadratureSpec:
-    return QuadratureSpec(rel_tol=ns.rel_tol)
-
-
 def _sample_points(seed, x_min=1e-3, x_max=1e3, points=100) -> np.ndarray:
     """Log-uniform sample points in [x_min, x_max), the battery's by default."""
     if not (0.0 < x_min < x_max):
@@ -226,7 +231,7 @@ def _sample_points(seed, x_min=1e-3, x_max=1e3, points=100) -> np.ndarray:
     return np.exp(_weyl_uniform(seed, math.log(x_min), math.log(x_max), points))
 
 
-def _vanish_cases(ks, orders, js, spec, tolerance) -> list:
+def _vanish_cases(ks, orders, js, rel_tol, tolerance) -> list:
     cases = []
     for k in ks:
         w = LogNormalWeight(k)
@@ -234,33 +239,33 @@ def _vanish_cases(ks, orders, js, spec, tolerance) -> list:
             heads = [(f"vanish/k={k}/n={n}/j={j}", {"k": k, "n": n, "j": j})
                      for n in orders]
             cases += _cases_or_refusals(heads, tolerance, lambda: _held_cases(
-                heads, _vanishing_orders(w, orders, j, spec), 0.0, tolerance))
+                heads, _vanishing_orders(w, orders, j, rel_tol), 0.0, tolerance))
     return cases
 
 
 def run_vanish(ns) -> list:
     ks = ns.k if ns.k else [0.5, 1.0, 2.0]
-    return _vanish_cases(ks, ns.n, ns.j, _spec(ns), ns.tolerance)
+    return _vanish_cases(ks, ns.n, ns.j, ns.rel_tol, ns.tolerance)
 
 
-def _moment_cases(tag, obj, m, orders, spec, tolerance, extra=None) -> list:
+def _moment_cases(tag, obj, m, orders, rel_tol, tolerance, extra=None) -> list:
     factor = modulator_moment_factor(m) if m is not None else 1.0
     heads = [(f"{tag}/n={n}", {**(extra or {}), "n": n}) for n in orders]
     return _cases_or_refusals(heads, tolerance, lambda: _held_cases(
-        heads, _integrate_orders(obj, orders, spec), factor, tolerance))
+        heads, _integrate_orders(obj, orders, rel_tol), factor, tolerance))
 
 
 def run_moments(ns) -> list:
     w, m, obj = _object_under_test(ns)
     extra = {"k": w.k, "lambda": m.lam if m else 0.0}
     return _moment_cases(
-        f"moments/k={w.k}", obj, m, ns.n, _spec(ns), ns.tolerance, extra
+        f"moments/k={w.k}", obj, m, ns.n, ns.rel_tol, ns.tolerance, extra
     )
 
 
-def _ratio_cases(tag, m, orders, spec, tolerance) -> list:
+def _ratio_cases(tag, m, orders, rel_tol, tolerance) -> list:
     obj = PerturbedDensity.of(m)
-    cases = _moment_cases(tag, obj, m, orders, spec, tolerance,
+    cases = _moment_cases(tag, obj, m, orders, rel_tol, tolerance,
                           {"k": m.weight.k, "lambda": m.lam})
     done = sorted((c for c in cases if c.value is not None), key=lambda c: c.value)
     if len(done) >= 2:
@@ -275,7 +280,7 @@ def run_ratio(ns) -> list:
     w, m, obj = _object_under_test(ns)
     if m is None:
         raise ConfigError("ratio needs --modulator")
-    return _ratio_cases(f"ratio/k={w.k}", m, ns.n, _spec(ns), ns.tolerance)
+    return _ratio_cases(f"ratio/k={w.k}", m, ns.n, ns.rel_tol, ns.tolerance)
 
 
 def _sample_inputs(k, xs) -> dict:
@@ -351,15 +356,15 @@ def run_qderiv(ns) -> list:
     return _qderiv_case(f"qderiv/k={w.k}", m, xs, ns.tolerance)
 
 
-def _hankel_cases(tag, obj, dim, spec) -> list:
+def _hankel_cases(tag, obj, dim, rel_tol) -> list:
     """Hankel cases of a bare weight's closed-form or a density's quadrature moments."""
     def build():
         if isinstance(obj, LogNormalWeight):
             seq = MomentSequence.closed_form(obj, 2 * dim)
         else:
-            seq = MomentSequence.from_quadrature(obj, 2 * dim, spec)
+            seq = MomentSequence.from_quadrature(obj, 2 * dim, rel_tol)
         rep = hankel_check(seq, dim)
-        # a bare Cholesky decides until ROADMAP item 3 gives a margin
+        # the smallest eigenvalue's sign decides until ROADMAP item 3 gives a margin
         shared = {"dim": rep.dim, "condition": rep.condition,
                   "shifted_condition": rep.shifted_condition}
         return [
@@ -377,10 +382,10 @@ def run_hankel(ns) -> list:
     w, m, obj = _object_under_test(ns)
     if not 1 <= ns.dim <= _MAX_DIM:
         raise ConfigError(f"--dim must be in [1, {_MAX_DIM}]")
-    return _hankel_cases(f"hankel/k={w.k}", obj, ns.dim, _spec(ns))
+    return _hankel_cases(f"hankel/k={w.k}", obj, ns.dim, ns.rel_tol)
 
 
-def _gram_cases(tag, w, degree, spec, tolerance, cross_mods) -> list:
+def _gram_cases(tag, w, degree, rel_tol, tolerance, cross_mods) -> list:
     count = 2 * degree + 1
     inputs = {"k": w.k, "degree": degree}
     heads = [(f"{tag}/self", inputs)] + [
@@ -398,7 +403,7 @@ def _gram_cases(tag, w, degree, spec, tolerance, cross_mods) -> list:
         cases = _cases_or_refusals(heads[:1], tolerance, lambda: case(heads[0], exact))
         for head, (_, m) in zip(heads[1:], cross_mods):
             cases += _cases_or_refusals([head], tolerance, lambda: case(
-                head, MomentSequence.from_quadrature(PerturbedDensity.of(m), count, spec)))
+                head, MomentSequence.from_quadrature(PerturbedDensity.of(m), count, rel_tol)))
         return cases
 
     return _cases_or_refusals(heads, tolerance, build)
@@ -409,7 +414,7 @@ def run_gram(ns) -> list:
     if not 1 <= ns.degree <= _MAX_DIM:
         raise ConfigError(f"--degree must be in [1, {_MAX_DIM}]")
     cross = [("modulated", m)] if m is not None else []
-    return _gram_cases(f"gram/k={w.k}", w, ns.degree, _spec(ns),
+    return _gram_cases(f"gram/k={w.k}", w, ns.degree, ns.rel_tol,
                        ns.tolerance, cross)
 
 
@@ -455,12 +460,12 @@ def _battery_modulators():
 
 
 def run_all(ns) -> list:
-    spec = _spec(ns)
+    rel_tol = ns.rel_tol
     mods = _battery_modulators()
     cases = []
 
     # Oscillatory integrals that the closed form says vanish.
-    cases += _vanish_cases((0.5, 1.0, 2.0), range(11), range(1, 6), spec,
+    cases += _vanish_cases((0.5, 1.0, 2.0), range(11), range(1, 6), rel_tol,
                            1e-10)
 
     # Sine-only perturbations leave every integer moment unchanged.
@@ -471,12 +476,12 @@ def run_all(ns) -> list:
             ml = Modulator(m.weight, lam, m.content)
             cases += _moment_cases(
                 f"invariance/{name}/lam={lam}", PerturbedDensity.of(ml), ml,
-                range(11), spec, 1e-10, {"k": ml.weight.k, "lambda": lam},
+                range(11), rel_tol, 1e-10, {"k": ml.weight.k, "lambda": lam},
             )
 
     # Cosine content rescales all moments by one common factor.
     for name in ("cos1", "mix"):
-        cases += _ratio_cases(f"ratio/{name}", mods[name], range(11), spec,
+        cases += _ratio_cases(f"ratio/{name}", mods[name], range(11), rel_tol,
                               1e-8)
 
     # q-Pearson identity for the weight and a rough density.
@@ -494,13 +499,13 @@ def run_all(ns) -> list:
     # Hankel positive definiteness, closed form and quadrature fed.
     for k in (0.5, 1.0, 2.0):
         cases += _hankel_cases(f"hankel/closed/k={k}", LogNormalWeight(k), 6,
-                               spec)
+                               rel_tol)
     cases += _hankel_cases("hankel/quadrature/weier",
-                           PerturbedDensity.of(mods["weier"]), 6, spec)
+                           PerturbedDensity.of(mods["weier"]), 6, rel_tol)
 
     # Orthogonality transfer through degree 6 at k = 1.
     cases += _gram_cases(
-        "gram/k=1.0", LogNormalWeight(1.0), 6, spec, 1e-6,
+        "gram/k=1.0", LogNormalWeight(1.0), 6, rel_tol, 1e-6,
         [("sine3", mods["sine3"]), ("weier", mods["weier"])],
     )
 
@@ -538,8 +543,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, tolerance=None, integrates=True):
         if integrates:
-            p.add_argument("--rel-tol", type=float, default=1e-12,
-                           help="quadrature relative tolerance")
+            p.add_argument("--rel-tol", type=_rel_tol, default=1e-12,
+                           help="quadrature relative tolerance, in (0, 1e-2]")
         if tolerance is not None:
             p.add_argument("--tolerance", type=_tolerance, default=tolerance,
                            help=f"pass threshold (default {tolerance:g})")

@@ -54,6 +54,8 @@ __all__ = [
 
 _INV_SQRT_PI = 0.5641895835477563  # 1 / sqrt(pi)
 _MAX_HARMONIC = 2**53
+# deepest Weierstrass truncation, given or raised by roughness's depth rule
+_MAX_TERMS = 10_000
 
 _KINDS = ("sine", "cosine")
 # |u| = 2 k**2 |ln x| where the ~2**-104 rounding of u = -2 k**2 ln x passes a turn
@@ -167,8 +169,8 @@ class WeierstrassSpec:
     b : int
         Integer frequency growth factor, at least 2.
     terms : int
-        Number of retained terms N; the dropped tail is bounded by
-        ``a**N / (1 - a)``.
+        Number of retained terms N, at most 10 000; the dropped tail is
+        bounded by ``a**N / (1 - a)``.
     kind : str
         ``"sine"`` or ``"cosine"``.
     """
@@ -184,7 +186,7 @@ class WeierstrassSpec:
             raise ValueError(f"a must lie strictly inside (0, 1), got {self.a!r}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", _check_int(self.b, "b", 2))
-        object.__setattr__(self, "terms", _check_int(self.terms, "terms", 1))
+        object.__setattr__(self, "terms", _check_int(self.terms, "terms", 1, _MAX_TERMS))
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .logscale import LogScaled
 from .measures import BudgetExceededError, LogNormalWeight, PerturbedDensity, _check_int
-from .quadrature import QuadratureSpec, _integrate_orders, base_moment_closed_form
+from .quadrature import _integrate_orders, base_moment_closed_form
 
 __all__ = [
     "MomentSequence",
@@ -68,9 +68,10 @@ class MomentSequence:
         cls,
         obj: Union[LogNormalWeight, PerturbedDensity],
         count: int,
-        spec: QuadratureSpec = QuadratureSpec(),
+        rel_tol: float = 1e-12,
     ) -> "MomentSequence":
-        """Moments of a weight or perturbed density by verified quadrature.
+        """Moments of a weight or perturbed density by verified quadrature
+        (:func:`~qmoments.quadrature.integrate_moment`, same ``rel_tol``).
 
         The errors bound the moments of the density as constructed.  A
         truncated Weierstrass modulator is a finite sine sum and shares
@@ -78,7 +79,7 @@ class MomentSequence:
         """
         count = _check_int(count, "count", 1)
         vals, errs = [], []
-        for r in _integrate_orders(obj, range(count), spec):
+        for r in _integrate_orders(obj, range(count), rel_tol):
             vals.append(r.value)
             errs.append(r.error_estimate)
         k = obj.k if isinstance(obj, LogNormalWeight) else obj.weight.k
@@ -98,10 +99,6 @@ class MomentSequence:
 
     def __getitem__(self, n: int) -> LogScaled:
         return self.values[n]
-
-    @property
-    def max_error(self) -> float:
-        return max(self.error_estimates)
 
 
 @dataclass(frozen=True)
@@ -146,20 +143,16 @@ def _normalized_hankel(seq: MomentSequence, dim: int, shift: int):
 
 
 def _pd_stats(mat, name):
+    """(positive definite, smallest eigenvalue, condition), by that eigenvalue's sign."""
     if mat is None:
         return False, math.nan, math.nan
-    try:
-        np.linalg.cholesky(mat)
-        pd = True
-    except np.linalg.LinAlgError:
-        pd = False
     eigs = np.linalg.eigvalsh(mat)
     bound = len(mat) * np.finfo(float).eps * eigs[-1]
     if abs(eigs[0]) <= bound:
         raise BudgetExceededError(f"{name}: smallest eigenvalue {eigs[0]:.3g} is "
                                   f"within the rounding bound {bound:.3g}")
-    cond = math.inf if eigs[0] <= 0.0 else float(eigs[-1] / eigs[0])
-    return pd, float(eigs[0]), cond
+    pd = bool(eigs[0] > 0.0)
+    return pd, float(eigs[0]), (float(eigs[-1] / eigs[0]) if pd else math.inf)
 
 
 def hankel_check(seq: MomentSequence, dim: Union[int, None] = None) -> HankelReport:

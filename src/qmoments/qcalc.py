@@ -34,7 +34,6 @@ few 1e-16 relative to local scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from . import _dd
@@ -49,27 +48,17 @@ from .measures import (
 )
 
 __all__ = [
-    "QDerivativeSample",
     "q_derivative",
     "q_pearson_residual",
 ]
 
-
-@dataclass(frozen=True)
-class QDerivativeSample:
-    """One evaluation of a q-derivative, kept for reporting."""
-
-    x: float
-    q: float
-    value: float
-
-
 def q_derivative(g: Callable, x, q: float):
     """``(g(x) - g(q*x)) / ((q - 1) * x)`` for scalar or array x.
 
-    ``g`` is any callable accepting the same shape as x.  Note the sign:
-    this evaluates to -1 for the identity map, and to -g'(x) in the
-    q -> 1 limit for differentiable g.
+    A scalar x gives a float, bit for bit the array call's element.  ``g``
+    is any callable accepting the same shape as x.  Note the sign: this
+    evaluates to -1 for the identity map, and to -g'(x) in the q -> 1
+    limit for differentiable g.
 
     A :class:`Modulator` at its own q (``q == g.weight.q``) takes g(q*x)
     from the double-double sum ``ln x + ln q`` and its one ``ln x``; the
@@ -87,9 +76,7 @@ def q_derivative(g: Callable, x, q: float):
         val = (g_x - _modulator_from_log_dd(g, sh, sl)) / ((q - 1.0) * arr)
     else:
         val = (g(arr) - g(q * arr)) / ((q - 1.0) * arr)
-    if scalar:
-        return QDerivativeSample(float(arr[0]), q, float(val[0]))
-    return val
+    return float(val[0]) if scalar else val
 
 
 def _weight_terms_dd(k: float, th, tl):

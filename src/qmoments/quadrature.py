@@ -55,9 +55,11 @@ Design points
   ``error_estimate``; the series component measures distance to the
   untruncated limit object and is reported alongside, not mixed in.
 * Every integral is planned up front, and the plan builds its one panel
-  grid.  A harmonic above 2**53, a k with no finite double-double ln q,
-  an order whose rounded center may miss the exact one by 2**-4/k (see
-  :func:`_plan_components`) or a plan above the node budget raises
+  grid on the window T = sqrt(ln(10/rel_tol))/k, ``rel_tol`` in (0,
+  1e-2] being the one accuracy control.  A window with no finite panel
+  count, a plan above the node budget of 2**26, a harmonic above 2**53, a
+  k with no finite double-double ln q or an order whose rounded center may
+  miss the exact one by 2**-4/k (see :func:`_plan_components`) raises
   :class:`BudgetExceededError` rather than silently under-resolving.
 """
 
@@ -83,7 +85,6 @@ from .measures import (
 )
 
 __all__ = [
-    "QuadratureSpec",
     "QuadratureResult",
     "BudgetExceededError",
     "integrate_moment",
@@ -127,38 +128,6 @@ _ODD = [2.0 * l + 1.0 for l in range(_NODES_PER_PANEL + 36)]
 
 
 @dataclass(frozen=True)
-class QuadratureSpec:
-    """Accuracy controls for :func:`integrate_moment` and friends.
-
-    Parameters
-    ----------
-    rel_tol : float
-        Target relative tolerance; sets the truncation window so the
-        discarded Gaussian tail is ~rel_tol/10.
-    truncation : float or None
-        Override for the half-width T of the centered window, in units of
-        the log variable.  None picks ``sqrt(ln(10/rel_tol)) / k``.
-    node_budget : int
-        Hard cap on integrand evaluations for one result.
-    """
-
-    rel_tol: float = 1e-12
-    truncation: float | None = None
-    node_budget: int = 1 << 26
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.rel_tol <= 1e-2) or not math.isfinite(self.rel_tol):
-            raise ValueError(f"rel_tol must be in (0, 1e-2], got {self.rel_tol!r}")
-        if self.truncation is not None:
-            t = float(self.truncation)
-            if not math.isfinite(t) or t <= 0.0:
-                raise ValueError(f"truncation must be positive, got {self.truncation!r}")
-            object.__setattr__(self, "truncation", t)
-        if not isinstance(self.node_budget, int) or self.node_budget < 64:
-            raise ValueError(f"node_budget must be an int >= 64, got {self.node_budget!r}")
-
-
-@dataclass(frozen=True)
 class QuadratureResult:
     """One verified integral with its error budget.
 
@@ -195,10 +164,6 @@ class QuadratureResult:
             return LogScaled.zero()
         sign = 1 if self.mantissa > 0.0 else -1
         return LogScaled(sign, self.ln_scale + math.log(abs(self.mantissa)))
-
-    def value_over_scale(self) -> float:
-        """The integral in units of exp(ln_scale): the stored mantissa."""
-        return self.mantissa
 
 
 def _center_residuals(k: float, n: int):
@@ -398,10 +363,17 @@ def _each_order(k, orders, components, grid, result):
             yield result(*parts)
 
 
-def _plan_components(k, orders, modes, spec: QuadratureSpec):
-    """Check the orders and plan the base and every mode; returns the
-    checked orders, the truncation T and the ``_panel_grid`` pair, or
-    raises BudgetExceededError.
+def _check_rel_tol(rel_tol: float) -> float:
+    if not 0.0 < rel_tol <= 1e-2:  # nan fails the comparison
+        raise ValueError(f"rel_tol must be in (0, 1e-2], got {rel_tol!r}")
+    return rel_tol
+
+
+def _plan_components(k, orders, modes, rel_tol):
+    """Check rel_tol and the orders and plan the base and every mode;
+    returns the checked orders, the truncation T = sqrt(ln(10/rel_tol))/k,
+    which leaves a Gaussian tail of about rel_tol/10, and the
+    ``_panel_grid`` pair, or raises BudgetExceededError.
 
     Phases fold exactly at any harmonic, but above 2**53 ``_omega_s``
     rounds it, and a non-finite ``a = omega * half`` cannot be integrated
@@ -415,8 +387,8 @@ def _plan_components(k, orders, modes, spec: QuadratureSpec):
     < 2**50 k, compared in integers.  That also keeps sigma below 2**98 and
     |mu| below 2**99, so every admitted order has float64 mu and sigma.
     """
+    T = math.sqrt(math.log(10.0 / _check_rel_tol(rel_tol))) / k
     orders = [_check_int(n, "moment order", -_MAX_ORDER, _MAX_ORDER) for n in orders]
-    T = spec.truncation or math.sqrt(math.log(10.0 / spec.rel_tol)) / k
     if not math.isfinite(T * k):
         raise BudgetExceededError(f"cannot integrate at k={k!r}: window T={T} has no panel count")
     # panels of width <= 0.75/k (kappa <= 0.375) put the interpolation
@@ -425,11 +397,11 @@ def _plan_components(k, orders, modes, spec: QuadratureSpec):
     components = 1 + len(modes)
     per_component = _NODES_PER_PANEL * p
     total = components * per_component
-    if total > spec.node_budget:
+    if total > _NODE_BUDGET:
         raise BudgetExceededError(
             f"integral needs {total} nodes for {components} components "
-            f"({per_component} each), budget is {spec.node_budget}. "
-            "Raise node_budget or use fewer modes."
+            f"({per_component} each), budget is {_NODE_BUDGET}. "
+            "Use fewer modes or a larger rel_tol."
         )
     grid = _panel_grid(T, p)
     for _, harmonic, _ in modes:
@@ -459,6 +431,8 @@ _BLOCK_ELEMENTS = 2**15
 _INV_SQRT_PI = 0.5641895835477563
 # largest |n| accepted as a moment order
 _MAX_ORDER = 2**48
+# integrand evaluations one integral may plan, all components together
+_NODE_BUDGET = 2**26
 
 
 def _moment_parts(obj: Union[LogNormalWeight, PerturbedDensity]):
@@ -483,18 +457,20 @@ def _series_tail(obj) -> float:
 def integrate_moment(
     obj: Union[LogNormalWeight, PerturbedDensity],
     n: int,
-    spec: QuadratureSpec = QuadratureSpec(),
+    rel_tol: float = 1e-12,
 ) -> QuadratureResult:
     """n-th moment of a weight or perturbed density, with error budget.
 
-    ``n`` may be any integer, negative included.  The result's
-    ``ln_scale`` equals the closed-form base moment's log, so
-    ``value_over_scale()`` reads directly as the modulator factor.
+    ``n`` may be any integer, negative included.  ``rel_tol``, in (0,
+    1e-2], sets the window so that the dropped Gaussian tail is about
+    rel_tol/10; the error bound is derived, never rel_tol itself.  The
+    result's ``ln_scale`` equals the closed-form base moment's log, so
+    ``mantissa`` reads directly as the modulator factor.
     """
-    return next(_integrate_orders(obj, [n], spec))
+    return next(_integrate_orders(obj, [n], rel_tol))
 
 
-def _integrate_orders(obj, orders, spec: QuadratureSpec = QuadratureSpec()):
+def _integrate_orders(obj, orders, rel_tol=1e-12):
     """:func:`integrate_moment` at each of ``orders``.  The orders are
     checked and the integral planned now; the results are then yielded in
     order as each block of orders is evaluated."""
@@ -502,7 +478,7 @@ def _integrate_orders(obj, orders, spec: QuadratureSpec = QuadratureSpec()):
     k = weight.k
     if lam == 0.0:
         modes = []
-    orders, T, grid = _plan_components(k, orders, modes, spec)
+    orders, T, grid = _plan_components(k, orders, modes, rel_tol)
 
     amps = np.array([1.0] + [lam * a for a, _, _ in modes])
     abs_amps = np.abs(amps)
@@ -534,7 +510,7 @@ def vanishing_integral(
     w: LogNormalWeight,
     n: int,
     j: int,
-    spec: QuadratureSpec = QuadratureSpec(),
+    rel_tol: float = 1e-12,
 ) -> QuadratureResult:
     """Integral of ``exp(-k^2 ln(x)^2) * x**n * sin(2 pi j ln x / ln q)``.
 
@@ -542,20 +518,20 @@ def vanishing_integral(
     for every integer n and j >= 1; nothing in the evaluation path knows
     that, so its smallness is evidence, not construction.  The scale is
     the same integral without the sine factor, exp(sigma) sqrt(pi)/k, and
-    ``ln_scale`` is ``sigma + ln(sqrt(pi)/k)``; compare
-    ``|value_over_scale()|`` against ``error_estimate``.
+    ``ln_scale`` is ``sigma + ln(sqrt(pi)/k)``; compare ``|mantissa|``
+    against ``error_estimate``.  ``rel_tol`` is :func:`integrate_moment`'s.
     """
-    return next(_vanishing_orders(w, [n], j, spec))
+    return next(_vanishing_orders(w, [n], j, rel_tol))
 
 
-def _vanishing_orders(w, orders, j, spec: QuadratureSpec = QuadratureSpec()):
+def _vanishing_orders(w, orders, j, rel_tol=1e-12):
     """:func:`vanishing_integral` at each of ``orders``, checked and planned
     as :func:`_integrate_orders` is."""
     if not isinstance(w, LogNormalWeight):
         raise ValueError(f"expected a LogNormalWeight, got {w!r}")
     j = _check_int(j, "sine harmonic j", 1)
     k = w.k
-    orders, T, grid = _plan_components(k, orders, [(1.0, j, "sine")], spec)
+    orders, T, grid = _plan_components(k, orders, [(1.0, j, "sine")], rel_tol)
 
     ln_mass = math.log(math.sqrt(math.pi) / k)
 

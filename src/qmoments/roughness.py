@@ -41,7 +41,7 @@ from typing import Union
 import numpy as np
 
 from . import _dd
-from .measures import Modulator, WeierstrassSpec, _check_int, _weyl_uniform
+from .measures import _MAX_TERMS, Modulator, WeierstrassSpec, _check_int, _weyl_uniform
 
 __all__ = [
     "HolderEstimate",
@@ -51,7 +51,6 @@ __all__ = [
     "divergence_witness",
 ]
 
-_MAX_TERMS = 10_000
 # every scale probes samples * 2 * probes points
 _MAX_SAMPLES = 4096
 _MAX_PROBES = 256
@@ -80,8 +79,6 @@ class HolderEstimate:
     r_squared: float
     scales: np.ndarray
     oscillations: np.ndarray
-    samples_per_scale: int
-    probes: int
     terms_used: Union[int, None]
 
 
@@ -285,8 +282,6 @@ def holder_estimate(
         r_squared=r2,
         scales=scales,
         oscillations=meds,
-        samples_per_scale=samples,
-        probes=probes,
         terms_used=terms,
     )
 

@@ -301,7 +301,7 @@ def gl_component(k, n, harmonic, kind, rel_tol=1e-12):
     from qmoments import _kernels
     from qmoments import quadrature as qd
 
-    _, T, (smooth, _) = qd._plan_components(k, [n], [], qd.QuadratureSpec(rel_tol=rel_tol))
+    _, T, (smooth, _) = qd._plan_components(k, [n], [], rel_tol)
     mu, _, c0, c1 = qd._center_residuals(k, n)
     omega = qd._omega_s(k, harmonic)
     periods = abs(omega) * T / math.pi

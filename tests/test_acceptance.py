@@ -82,7 +82,7 @@ def test_criterion_1_vanishing_identity():
         for n in range(11):
             for j in range(1, 6):
                 r = vanishing_integral(w, n, j)
-                worst = max(worst, abs(r.value_over_scale()) * unit)
+                worst = max(worst, abs(r.mantissa) * unit)
                 count += 1
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-10 and count == 165 and elapsed < 10.0
@@ -102,7 +102,7 @@ def test_criterion_2_moment_invariance():
             d = PerturbedDensity.of(Modulator(m.weight, lam, m.content))
             for n in range(11):
                 r = integrate_moment(d, n)
-                worst = max(worst, abs(r.value_over_scale() - 1.0))
+                worst = max(worst, abs(r.mantissa - 1.0))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-10 and elapsed < 30.0
     _verdict(2, ok, elapsed, 30,
@@ -120,7 +120,7 @@ def test_criterion_3_ratio_constancy():
     for _, m in _cosine_family():
         d = PerturbedDensity.of(m)
         factor = modulator_moment_factor(m)
-        ratios = [integrate_moment(d, n).value_over_scale()
+        ratios = [integrate_moment(d, n).mantissa
                   for n in range(11)]
         worst_spread = max(worst_spread, max(ratios) - min(ratios))
         worst_gap = max(worst_gap, max(abs(v - factor) for v in ratios))
@@ -254,7 +254,7 @@ def test_criterion_8_oracle_honesty():
             "modes": [{"a": a, "b": b, "kind": kd} for a, b, kd in modes],
         }
         ref, ref_err = oracles.scipy_moment_rel(desc, n)
-        diff = abs(r.value_over_scale() - ref)
+        diff = abs(r.mantissa - ref)
         worst_diff = max(worst_diff, diff)
         if diff > r.error_estimate + ref_err:
             bounded = False

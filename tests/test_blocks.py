@@ -61,7 +61,7 @@ def test_block_equals_one_order_calls(form, per_block, monkeypatch):
     if per_block is not None:
         # the planned panel rows per order, the same for every k at the
         # default tolerance
-        _, _, (centers, _) = qd._plan_components(1.0, [0], [], qd.QuadratureSpec())
+        _, _, (centers, _) = qd._plan_components(1.0, [0], [], 1e-12)
         rows = centers.size * (qd._NODES_PER_PANEL + components)
         monkeypatch.setattr(qd, "_BLOCK_ELEMENTS", per_block * rows)
     blocks = counting(monkeypatch, "_panel_integrals")

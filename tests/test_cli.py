@@ -6,6 +6,7 @@ exit-code contract and both output formats are exercised against real
 runs.
 """
 
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -14,6 +15,7 @@ import json
 import math
 import pathlib
 import re
+import time
 import warnings
 
 import numpy as np
@@ -51,7 +53,7 @@ class TestReportShape:
         )
         assert code == 0
         h = rep["header"]
-        assert h["schema_version"] == 6
+        assert h["schema_version"] == 7
         assert h["command"] == "vanish"
         assert "backend" not in h
         assert h["moment_convention"] == MOMENT_SIGN_NOTE
@@ -212,10 +214,52 @@ class TestExitCodes:
         assert main(args) == 2
         assert bound in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, bound", [
+        (["vanish", "--n", "0..1000000000000"], "at most 10000 values"),
+        (["vanish", "--j", "1..1000000000000"], "at most 10000 values"),
+        (["holder", "--a", "0.5", "--b", "3", "--depth", "1000000000"],
+         "terms must be <= 10000"),
+        (["moments", "--modulator", '{"k": 1.0, "lambda": 0.5, "weierstrass": '
+          '{"a": 0.5, "b": 3, "N": 1000000000, "kind": "sine"}}'],
+         "terms must be <= 10000"),
+    ], ids=["n-span", "j-span", "holder-depth", "weierstrass-N"])
+    def test_oversized_input_exits_two_at_once(self, args, bound, capsys):
+        # unbounded, each of these built 10**9 or more values before any
+        # check could refuse it: a MemoryError traceback or a run of minutes
+        start = time.perf_counter()
+        try:
+            code = main(args)
+        except SystemExit as exc:  # argparse refuses a span as it parses it
+            code = exc.code
+        assert code == 2 and time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert bound in err and "Traceback" not in err
+
+    def test_span_bound_counts_values(self):
+        assert cli._parse_span("-5000..4999") == tuple(range(-5000, 5000))
+        with pytest.raises(argparse.ArgumentTypeError, match="got 10001"):
+            cli._parse_span("-5000..5000")
+
+    @pytest.mark.parametrize("value", ["nan", "0", "-1e-3", "0.02", "inf"])
+    @pytest.mark.parametrize("args", [
+        ["vanish", "--k", "1", "--n", "0", "--j", "1"],
+        ["moments", "--k", "1", "--n", "0"],
+        ["ratio", "--modulator", COS_MOD, "--n", "0..1"],
+        ["hankel", "--k", "1"],
+        ["gram", "--k", "1"],
+        ["all"],
+    ], ids=["vanish", "moments", "ratio", "hankel", "gram", "all"])
+    def test_rel_tol_outside_its_range_exits_two(self, args, value, capsys):
+        # hankel and gram on a bare weight integrate nothing, and still refuse
+        with pytest.raises(SystemExit) as exc:
+            main(args + [f"--rel-tol={value}"])
+        assert exc.value.code == 2
+        assert "--rel-tol: rel_tol must be in (0, 1e-2]" in capsys.readouterr().err
+
     def test_budget_exceeded_is_a_failed_case(self, tmp_path, capsys):
         # At --rel-tol 1e-300 (kT = 26.3, 71 panels) every component costs
         # the same 2272 nodes, so 60 000 modes (more than 29 537) need more
-        # nodes than the default budget of 2^26 allows; the sweep must
+        # nodes than the budget of 2^26 allows; the sweep must
         # report that, not crash, one failed case per order under the
         # order's own id, although the block of orders is refused as a whole.
         modes = [{"a": 1.0, "b": b, "kind": "sine"} for b in range(1, 60_001)]
@@ -544,8 +588,10 @@ _API_3 = [
     "stieltjes_wigert_check", "vanishing_integral",
 ]
 # schema 4 changed the verdict rule, schema 5 every seed's sample points
-# and schema 6 QuadratureResult's fields, none of them __all__
-PUBLIC_API = {3: _API_3, 4: _API_3, 5: _API_3, 6: _API_3}
+# and schema 6 QuadratureResult's fields, none of them __all__; schema 7
+# dropped QuadratureSpec and QDerivativeSample
+_API_7 = [name for name in _API_3 if name not in ("QuadratureSpec", "QDerivativeSample")]
+PUBLIC_API = {3: _API_3, 4: _API_3, 5: _API_3, 6: _API_3, 7: _API_7}
 
 
 def test_public_api_is_frozen_with_the_schema_version():

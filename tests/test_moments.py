@@ -55,7 +55,7 @@ class TestMomentSequence:
         assert len(seq) == 5
         assert seq[0].ln_abs == pytest.approx(0.25, abs=1e-16)
         assert seq[3].ln_abs == pytest.approx(4.0, abs=1e-15)
-        assert seq.max_error == 0.0
+        assert max(seq.error_estimates) == 0.0
         assert seq.k == 1.0
 
     def test_from_values_mixed(self):

@@ -22,10 +22,10 @@ from test_measures import trig_modulator, weier_modulator
 from qmoments import quadrature as qd
 from qmoments.logscale import LogScaled
 from qmoments.measures import LogNormalWeight, PerturbedDensity, modulator_from_dict
+from qmoments.moments import MomentSequence
 from qmoments.quadrature import (
     MOMENT_SIGN_NOTE,
     BudgetExceededError,
-    QuadratureSpec,
     base_moment_closed_form,
     integrate_moment,
     modulator_moment_factor,
@@ -67,7 +67,7 @@ def test_base_moment_matches_closed_form(k, n):
     w = LogNormalWeight(k)
     r = integrate_moment(w, n)
     assert r.value.sign == 1
-    dev = abs(r.value_over_scale() - 1.0)
+    dev = abs(r.mantissa - 1.0)
     assert dev <= 1e-12
     # honesty: the mantissa is relative to the exact exp(sigma), so the
     # estimate covers the deviation with no allowance for sigma's rounding
@@ -101,14 +101,14 @@ def test_huge_order_stays_finite():
     r = integrate_moment(w, 40)
     closed = base_moment_closed_form(w, 40)
     assert math.isinf(r.value.to_float())
-    assert abs(r.value_over_scale() - 1.0) <= 1e-11
+    assert abs(r.mantissa - 1.0) <= 1e-11
     assert abs(r.value.ln_abs - closed.ln_abs) <= 1e-9
 
 
 @pytest.mark.parametrize("k, lam, modes, n, expected", FROZEN_RATIOS)
 def test_frozen_oracle_ratios(k, lam, modes, n, expected):
     r = integrate_moment(density(k, lam, modes), n)
-    assert abs(r.value_over_scale() - expected) <= 1e-13
+    assert abs(r.mantissa - expected) <= 1e-13
 
 
 @pytest.mark.parametrize(
@@ -123,7 +123,7 @@ def test_ratio_constant_in_order(k, lam, modes):
     factor = modulator_moment_factor(d.modulator)
     for n in range(9):
         r = integrate_moment(d, n)
-        assert abs(r.value_over_scale() - factor) <= 1e-12
+        assert abs(r.mantissa - factor) <= 1e-12
 
 
 @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
@@ -142,7 +142,7 @@ def test_lambda_invariance_sine_trig(k, modes):
         assert d.positive
         for n in range(11):
             r = integrate_moment(d, n)
-            assert abs(r.value_over_scale() - 1.0) <= 1e-12
+            assert abs(r.mantissa - 1.0) <= 1e-12
             assert r.value.sign == 1
 
 
@@ -154,7 +154,7 @@ def test_lambda_invariance_weierstrass(k):
         d = PerturbedDensity.of(weier_modulator(k, lam, 0.5, 3, 10))
         for n in range(11):
             r = integrate_moment(d, n)
-            assert abs(r.value_over_scale() - 1.0) <= 1e-12
+            assert abs(r.mantissa - 1.0) <= 1e-12
             assert r.series_tail_budget == abs(lam) * 0.5**10 / 0.5
             # the series cutoff distance is reported, never silently
             # folded into the quadrature error
@@ -167,7 +167,7 @@ def test_mixed_modulator_tracks_closed_form_factor():
         factor = modulator_moment_factor(d.modulator)
         for n in range(7):
             r = integrate_moment(d, n)
-            assert abs(r.value_over_scale() - factor) <= 1e-12
+            assert abs(r.mantissa - factor) <= 1e-12
 
 
 def test_scipy_oracle_equivalence_random_instances():
@@ -194,33 +194,33 @@ def test_scipy_oracle_equivalence_random_instances():
             "modes": [{"a": a, "b": b, "kind": kind} for a, b, kind in modes],
         }
         ref, ref_err = oracles.scipy_moment_rel(desc, n)
-        diff = abs(r.value_over_scale() - ref)
+        diff = abs(r.mantissa - ref)
         assert diff <= 1e-11
         assert diff <= r.error_estimate + ref_err + 5e-13
 
 
 def test_error_estimate_covers_deliberately_bad_truncation():
-    # Cut the window at T=2 for k=1: the discarded tail is erfc(2) ~ 4.7e-3
-    # and the result must both miss the closed form by about that much and
-    # admit it in the estimate.
+    # rel_tol = 1e-2 cuts the window at k T = sqrt(ln 1000) = 2.63 for k=1:
+    # the discarded tail is erfc(2.63) ~ 2.0e-4, and the result must both
+    # miss the closed form by about that much and admit it in the estimate.
     w = LogNormalWeight(1.0)
-    r = integrate_moment(w, 0, QuadratureSpec(truncation=2.0))
-    dev = abs(r.value_over_scale() - 1.0)
-    assert dev > 1e-3
-    assert dev <= r.error_estimate * (1.0 + 1e-6) + 1e-15
-    # and a generous window drives the tail term out of the picture
-    r8 = integrate_moment(w, 0, QuadratureSpec(truncation=8.0))
-    assert r8.rel_tail_error < 1e-27
-    assert abs(r8.value_over_scale() - 1.0) <= 1e-12
+    r = integrate_moment(w, 0, rel_tol=1e-2)
+    dev = abs(r.mantissa - 1.0)
+    assert dev > 1e-4
+    assert dev <= r.error_estimate
+    # and a generous window (k T = 8.45) drives the tail term out of the picture
+    wide = integrate_moment(w, 0, rel_tol=1e-30)
+    assert wide.rel_tail_error < 1e-27
+    assert abs(wide.mantissa - 1.0) <= 1e-12
 
 
 def test_rel_tol_controls_window_and_cost():
     w = LogNormalWeight(1.0)
-    loose = integrate_moment(w, 2, QuadratureSpec(rel_tol=1e-8))
-    tight = integrate_moment(w, 2, QuadratureSpec(rel_tol=1e-12))
+    loose = integrate_moment(w, 2, rel_tol=1e-8)
+    tight = integrate_moment(w, 2, rel_tol=1e-12)
     assert loose.truncation < tight.truncation
     assert loose.nodes_used < tight.nodes_used
-    assert abs(loose.value_over_scale() - 1.0) <= max(loose.error_estimate, 1e-8)
+    assert abs(loose.mantissa - 1.0) <= max(loose.error_estimate, 1e-8)
 
 
 @pytest.mark.parametrize("k", [0.5, 1.0])
@@ -231,7 +231,7 @@ def test_vanishing_integral_sweep(k):
         sigma = base_moment_closed_form(w, n).ln_abs
         for j in range(1, 5):
             r = vanishing_integral(w, n, j)
-            small = abs(r.value_over_scale())
+            small = abs(r.mantissa)
             assert small <= max(r.error_estimate, 1e-12)
             assert small <= 1e-10
             assert abs(r.ln_scale - (sigma + scale_tail)) <= 1e-12 * max(
@@ -248,10 +248,17 @@ def test_vanishing_integral_rejects_bad_harmonic():
         vanishing_integral(object(), 0, 1)
 
 
-def test_budget_refusal_is_eager_and_named():
-    d = density(0.7, 0.8, [(0.6, 3, "sine"), (0.4, 7, "cosine")])
-    with pytest.raises(BudgetExceededError, match="budget"):
-        integrate_moment(d, 0, QuadratureSpec(node_budget=1000))
+def test_budget_refusal_is_eager_and_named(monkeypatch):
+    # at rel_tol = 1e-300 (k T = 26.3, 71 panels) every component costs
+    # 2272 nodes, so 29 537 modes and the base pass the budget of 2**26
+    # by 1472 nodes; the refusal must come from planning alone
+    anchored = []
+    monkeypatch.setattr(qd, "_phase_anchors", lambda *args: anchored.append(args))
+    d = density(0.7, 1e-5, [(1.0, b, "sine") for b in range(1, 29_538)])
+    with pytest.raises(BudgetExceededError, match="67110336 nodes .* budget is 67108864"):
+        integrate_moment(d, 0, rel_tol=1e-300)
+    assert anchored == []
+    monkeypatch.undo()
     # a deep Weierstrass truncation reaches harmonic 3^34 > 2^53, above
     # the quadrature's harmonic bound; the refusal must arrive from
     # planning alone, naming the harmonic
@@ -262,7 +269,7 @@ def test_budget_refusal_is_eager_and_named():
     # 2^50 sine is computed, and must be seen to vanish
     huge = density(1.0, 0.5, [(1.0, 2**50, "sine")])
     r = integrate_moment(huge, 0)
-    dev = abs(r.value_over_scale() - 1.0)
+    dev = abs(r.mantissa - 1.0)
     assert dev <= max(r.error_estimate, 1e-12)
     assert dev <= 1e-10
 
@@ -278,16 +285,17 @@ def test_unanchorable_k_is_a_named_budget_refusal(k, monkeypatch):
     assert anchored == []
 
 
-def test_quadrature_spec_validation():
-    for bad in (0.0, -1e-3, 0.02, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            QuadratureSpec(rel_tol=bad)
-    for bad in (0.0, -1.0, float("nan")):
-        with pytest.raises(ValueError):
-            QuadratureSpec(truncation=bad)
-    for bad in (32, 1.5, "many"):
-        with pytest.raises(ValueError):
-            QuadratureSpec(node_budget=bad)
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1e-3, 0.02, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda rel_tol: integrate_moment(LogNormalWeight(1.0), 0, rel_tol),
+    lambda rel_tol: vanishing_integral(LogNormalWeight(1.0), 0, 1, rel_tol),
+    lambda rel_tol: MomentSequence.from_quadrature(LogNormalWeight(1.0), 2, rel_tol),
+], ids=["integrate_moment", "vanishing_integral", "from_quadrature"])
+def test_rel_tol_validation(call, bad):
+    # a named ValueError, not a refusal: no rel_tol outside (0, 1e-2] is admitted
+    with pytest.raises(ValueError, match=r"rel_tol must be in \(0, 1e-2\]") as exc:
+        call(bad)
+    assert not isinstance(exc.value, BudgetExceededError)
 
 
 def test_moment_order_validation():
@@ -311,7 +319,7 @@ def test_error_estimate_covers_log_scale_granularity(n):
     d = density(0.45, -0.6, [(0.5, 1, "cosine"), (0.5, 3, "sine")])
     factor = modulator_moment_factor(d.modulator)
     r = integrate_moment(d, n)
-    assert abs(r.value_over_scale() - factor) <= r.error_estimate < 1e-13
+    assert abs(r.mantissa - factor) <= r.error_estimate < 1e-13
 
 
 @pytest.mark.parametrize("k, lam, n", [(0.1, 0.9, 12), (0.1, 0.99, 72), (0.15, 0.9, 9),
@@ -322,7 +330,7 @@ def test_log_scale_granularity_scales_with_the_factor(k, lam, n):
     # the scale alone once missed each of these by 2-37%.
     d = density(k, lam, [(1.0, 1, "cosine")])
     r = integrate_moment(d, n)
-    assert abs(r.value_over_scale() - modulator_moment_factor(d.modulator)) <= r.error_estimate
+    assert abs(r.mantissa - modulator_moment_factor(d.modulator)) <= r.error_estimate
 
 
 def test_vanishing_error_estimate_scales_granularity_by_value():
@@ -334,7 +342,7 @@ def test_vanishing_error_estimate_scales_granularity_by_value():
     sigma = base_moment_closed_form(w, 40).ln_abs
     r = vanishing_integral(w, 40, 1)
     assert r.rel_quad_error < 0.1 * 2.220446049250313e-16 * sigma
-    assert abs(r.value_over_scale()) <= r.error_estimate
+    assert abs(r.mantissa) <= r.error_estimate
 
 
 def test_results_are_deterministic():
@@ -356,7 +364,7 @@ def test_mode_integrals_shared_across_lambda():
         for lam in (0.1, 0.2, 0.3)
     ]
     assert rs[0].nodes_used == rs[1].nodes_used == rs[2].nodes_used
-    v = [r.value_over_scale() for r in rs]
+    v = [r.mantissa for r in rs]
     assert v[2] - 1.0 > 1e-3
     assert abs(v[0] - 2.0 * v[1] + v[2]) <= 5e-15
 
@@ -438,7 +446,7 @@ def test_admitted_k_and_n_end_in_their_bound_or_a_named_refusal(k, n, j):
             r = call()
         except BudgetExceededError:
             continue
-        assert abs(r.value_over_scale() - exact) <= r.error_estimate
+        assert abs(r.mantissa - exact) <= r.error_estimate
 
 
 @pytest.mark.parametrize("k, n", [(1e-20, 0), (0.01, 2**48), (0.1, -(2**48)), (1e-90, 0)])
@@ -463,7 +471,7 @@ def test_small_k_cosine_moments_match_mpmath(k, n):
     ref = oracles.mp_moment_quad(desc, n, dps=30) / mpmath.exp(
         mpmath.mpf(n + 1) ** 2 / (4 * mpmath.mpf(k) ** 2))
     r = integrate_moment(PerturbedDensity.of(modulator_from_dict(desc)), n)
-    assert abs(r.value_over_scale() - float(ref)) <= r.error_estimate < 1e-13
+    assert abs(r.mantissa - float(ref)) <= r.error_estimate < 1e-13
 
 
 @pytest.mark.parametrize("n", [112588, -112589])
@@ -473,8 +481,8 @@ def test_tail_term_charges_the_center_offset(n, rel_tol):
     # the window's: the deviation, mostly the lost tail, passes erfc(k T)
     # plus the quadrature bound, and erfc(k (T - |s0|)) covers it
     k = 1e-10
-    r = integrate_moment(LogNormalWeight(k), n, QuadratureSpec(rel_tol=rel_tol))
-    dev = abs(r.value_over_scale() - 1.0)
+    r = integrate_moment(LogNormalWeight(k), n, rel_tol=rel_tol)
+    dev = abs(r.mantissa - 1.0)
     assert r.rel_quad_error + math.erfc(k * r.truncation) < dev <= r.error_estimate
 
 
@@ -484,9 +492,9 @@ def test_orders_where_eps_sigma_passes_one_integrate(k, n):
     # could not hold the value; the mantissa beside the exact scale can
     w = LogNormalWeight(k)
     r = integrate_moment(w, n)
-    assert abs(r.value_over_scale() - 1.0) <= r.error_estimate < 1e-13
+    assert abs(r.mantissa - 1.0) <= r.error_estimate < 1e-13
     r = vanishing_integral(w, n, 1)
-    assert abs(r.value_over_scale()) <= r.error_estimate < 1e-13
+    assert abs(r.mantissa) <= r.error_estimate < 1e-13
 
 
 def test_sigma_refusal_is_exact_at_its_bound():
@@ -499,7 +507,7 @@ def test_sigma_refusal_is_exact_at_its_bound():
     w = LogNormalWeight(k)
     for n in (first - 2, -first + 1):
         r = integrate_moment(w, n)
-        assert abs(r.value_over_scale() - 1.0) <= r.error_estimate < 1e-13
+        assert abs(r.mantissa - 1.0) <= r.error_estimate < 1e-13
     for n in (first - 1, -first - 1):
         with pytest.raises(BudgetExceededError, match=f"n={n} "):
             integrate_moment(w, n)
@@ -520,4 +528,4 @@ def test_tiny_k_integrates_where_sigma_is_zero():
     # oscillation per panel, a ~ 5e-120, is below where Miller's
     # recurrence overflows
     r = vanishing_integral(LogNormalWeight(1e-120), -1, 1)
-    assert abs(r.value_over_scale()) <= r.error_estimate < 1e-12
+    assert abs(r.mantissa) <= r.error_estimate < 1e-12

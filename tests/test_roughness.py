@@ -46,7 +46,6 @@ def test_alpha_matches_series_exponent(a, b, alpha, depth):
     assert abs(est.alpha - alpha) <= 0.05
     assert est.r_squared >= 0.98
     assert est.terms_used == depth
-    assert est.samples_per_scale == 64
     assert est.scales[0] == 2.0**-4 and est.scales[-1] == 2.0**-20
 
 
