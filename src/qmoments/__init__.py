@@ -35,7 +35,6 @@ def _import_numpy_on_one_blas_thread() -> None:
 
 _import_numpy_on_one_blas_thread()
 
-from .logscale import LogScaled  # noqa: E402
 from .measures import (  # noqa: E402
     LogNormalWeight,
     Modulator,
@@ -60,6 +59,7 @@ from .qcalc import q_derivative, q_pearson_residual  # noqa: E402
 from .quadrature import (  # noqa: E402
     MOMENT_SIGN_NOTE,
     BudgetExceededError,
+    LogScaled,
     QuadratureResult,
     base_moment_closed_form,
     integrate_moment,

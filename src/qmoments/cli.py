@@ -7,14 +7,14 @@ exists, and a boolean verdict.  JSON output is the full report; CSV is
 a flat projection of the case list, one row per case with the inputs
 packed into a JSON string column.
 
-Report schema, version 7; the version changes with the report layout,
+Report schema, version 8; the version changes with the report layout,
 with what a verdict means or which points a seed gives, and with the
 package's public API (``qmoments.__all__`` and the fields and methods of
 its classes)::
 
     {
       "header": {
-        "schema_version": 7,
+        "schema_version": 8,
         "package_version": "...",
         "timestamp": "...ISO 8601 UTC...",
         "command": "<subcommand>",
@@ -91,14 +91,17 @@ from .quadrature import (
 )
 from .roughness import holder_estimate
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 _DEFAULT_SEED = 20260817
 # size bounds: ~200 MB of pointwise work, a 1000 x 1000 Hankel or Gram matrix,
-# 10 000 orders or harmonics in one --n or --j span
+# 10 000 orders or harmonics in one --n or --j span, and the vanish cases of
+# all k, n and j together (~3 KB each, all held until the report is written;
+# 190 MB peak at the cap)
 _MAX_POINTS = 1_000_000
 _MAX_DIM = 1000
 _MAX_SPAN = 10_000
+_MAX_CASES = 50_000
 
 
 class ConfigError(Exception):
@@ -245,6 +248,10 @@ def _vanish_cases(ks, orders, js, rel_tol, tolerance) -> list:
 
 def run_vanish(ns) -> list:
     ks = ns.k if ns.k else [0.5, 1.0, 2.0]
+    count = len(ks) * len(ns.n) * len(ns.j)
+    if count > _MAX_CASES:
+        raise ConfigError(f"vanish asks for {count} cases (k x n x j), "
+                          f"at most {_MAX_CASES}")
     return _vanish_cases(ks, ns.n, ns.j, ns.rel_tol, ns.tolerance)
 
 
@@ -522,7 +529,7 @@ def run_all(ns) -> list:
     )
 
     # The moment exponent is positive; the report header states it.
-    v = base_moment_closed_form(LogNormalWeight(1.0), 1).ln_abs
+    v = base_moment_closed_form(LogNormalWeight(1.0), 1)
     cases.append(_decided("convention/positive-exponent", {"k": 1.0, "n": 1},
                           v, 1.0, 0.0, 0.0))  # exact
     return cases

@@ -5,10 +5,12 @@ entries M_{i+j} = exp((i+j+1)^2 / (4 k^2)) span hundreds of orders of
 magnitude.  Every matrix here is therefore built in diagonally normalized
 coordinates, Hhat_ij = M_{i+j} / sqrt(M_{2i} M_{2j}), whose entries lie in
 [-1, 1] and whose positive definiteness is equivalent to that of the raw
-matrix (the normalization is a congruence by a positive diagonal).  For
-the base weight the normalized Hankel collapses to the Gaussian Toeplitz
-form exp(-(i-j)^2 / (4 k^2)), which keeps condition numbers tame for the
-small dimensions treated here.
+matrix (the normalization is a congruence by a positive diagonal).  A
+sequence holds each moment as a float mantissa m_n on its exact scale,
+M_n = m_n exp((n+1)^2 / (4 k^2)), and the scales cancel in Hhat without
+rounding to the Gaussian Toeplitz form exp(-(i-j)^2 / (4 k^2)), which
+keeps condition numbers tame for the small dimensions treated here; for
+the base weight, all m_n = 1, Hhat is that form.
 
 The orthogonal polynomials of the weight are the Stieltjes-Wigert
 polynomials, known in closed form; ``stieltjes_wigert_check`` takes their
@@ -21,7 +23,6 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .logscale import LogScaled
 from .measures import BudgetExceededError, LogNormalWeight, PerturbedDensity, _check_int
 from .quadrature import _integrate_orders, base_moment_closed_form
 
@@ -36,32 +37,35 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MomentSequence:
-    """Integer moments M_0 .. M_{len-1} in log-scaled form.
+    """Integer moments M_0 .. M_{len-1}, each a mantissa on its exact scale.
 
-    ``error_estimates`` holds one relative error bound per moment, zero
-    for exact constructions.  ``k`` is carried when the sequence came
-    from a known weight; it is informational only.
+    With ``k`` set, M_n = mantissas[n] * exp((n+1)**2 / (4 k**2)), the
+    scale exact and never evaluated; with ``k`` None the mantissas are the
+    moments.  ``error_estimates`` holds one relative error bound per
+    moment, zero for exact constructions.
     """
 
-    values: tuple
+    mantissas: tuple
     error_estimates: tuple
     k: Union[float, None] = None
 
     def __post_init__(self):
-        if len(self.values) == 0:
+        if len(self.mantissas) == 0:
             raise ValueError("a moment sequence needs at least one moment")
-        if len(self.values) != len(self.error_estimates):
+        if len(self.mantissas) != len(self.error_estimates):
             raise ValueError("one error estimate per moment is required")
-        for v in self.values:
-            if not isinstance(v, LogScaled):
-                raise ValueError(f"moments must be LogScaled, got {v!r}")
+        for m in self.mantissas:  # nan fails; no product of two leaves float64
+            if not (m == 0.0 or 2.0**-500 <= abs(m) <= 2.0**500):
+                raise ValueError(f"a mantissa must be 0 or within 2**-500 .. "
+                                 f"2**500 in magnitude, got {m!r}")
 
     @classmethod
     def closed_form(cls, w: LogNormalWeight, count: int) -> "MomentSequence":
         """Exact base-weight moments, count of them starting at M_0."""
         count = _check_int(count, "count", 1)
-        vals = tuple(base_moment_closed_form(w, n) for n in range(count))
-        return cls(values=vals, error_estimates=(0.0,) * count, k=w.k)
+        for n in range(count):  # refuses the first order with no float64 exponent
+            base_moment_closed_form(w, n)
+        return cls(mantissas=(1.0,) * count, error_estimates=(0.0,) * count, k=w.k)
 
     @classmethod
     def from_quadrature(
@@ -77,28 +81,19 @@ class MomentSequence:
         truncated Weierstrass modulator is a finite sine sum and shares
         every moment, so ``series_tail_budget`` is no moment error.
         """
-        count = _check_int(count, "count", 1)
-        vals, errs = [], []
-        for r in _integrate_orders(obj, range(count), rel_tol):
-            vals.append(r.value)
-            errs.append(r.error_estimate)
+        rs = list(_integrate_orders(obj, range(_check_int(count, "count", 1)), rel_tol))
         k = obj.k if isinstance(obj, LogNormalWeight) else obj.weight.k
-        return cls(values=tuple(vals), error_estimates=tuple(errs), k=k)
+        return cls(mantissas=tuple(r.mantissa for r in rs),
+                   error_estimates=tuple(r.error_estimate for r in rs), k=k)
 
     @classmethod
-    def from_values(cls, values: Sequence, k=None) -> "MomentSequence":
-        """Wrap plain floats (or LogScaled) as an exact moment sequence."""
-        vals = tuple(
-            v if isinstance(v, LogScaled) else LogScaled.from_float(float(v))
-            for v in values
-        )
-        return cls(values=vals, error_estimates=(0.0,) * len(vals), k=k)
+    def from_values(cls, values: Sequence) -> "MomentSequence":
+        """Wrap plain floats as an exact moment sequence."""
+        mantissas = tuple(float(v) for v in values)
+        return cls(mantissas=mantissas, error_estimates=(0.0,) * len(mantissas))
 
     def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, n: int) -> LogScaled:
-        return self.values[n]
+        return len(self.mantissas)
 
 
 @dataclass(frozen=True)
@@ -121,25 +116,31 @@ class HankelReport:
     moment_error: float
 
 
+def _scale_exponents(k, count: int) -> np.ndarray:
+    """(n+1)**2 / (4 k**2) for n < count, each rounded once, so that ln M_n
+    = ln m_n + its n-th entry; zeros without a k, where the mantissas m_n
+    are the moments."""
+    if k is None:
+        return np.zeros(count)
+    w = LogNormalWeight(k)
+    return np.array([base_moment_closed_form(w, n) for n in range(count)])
+
+
 def _normalized_hankel(seq: MomentSequence, dim: int, shift: int):
     """Hhat_ij = M_{i+j+shift} / sqrt(M_{2i+shift} M_{2j+shift}), or None.
 
-    None means a diagonal moment is zero or negative, so the raw matrix
-    has a non-positive diagonal entry and cannot be positive definite.
+    The scales cancel exactly to exp(-(i-j)**2 / (4 k**2)), as (n+1)**2
+    is quadratic in n, so Hhat_ij = m_{i+j+shift} / sqrt(m_{2i+shift}
+    m_{2j+shift}) times that.  None means a diagonal moment is zero or
+    negative, so the raw matrix has a non-positive diagonal entry and
+    cannot be positive definite.
     """
-    diag_ln = np.empty(dim)
-    for i in range(dim):
-        v = seq[2 * i + shift]
-        if v.sign <= 0:
-            return None
-        diag_ln[i] = v.ln_abs
-    out = np.empty((dim, dim))
-    for i in range(dim):
-        for j in range(i, dim):
-            v = seq[i + j + shift]
-            e = math.exp(v.ln_abs - 0.5 * (diag_ln[i] + diag_ln[j]))
-            out[i, j] = out[j, i] = v.sign * e
-    return out
+    m, i = np.asarray(seq.mantissas), np.arange(dim)
+    diag, gap = m[2 * i + shift], i[:, None] - i
+    if not np.all(diag > 0.0):
+        return None
+    return (m[i[:, None] + i + shift] / np.sqrt(diag[:, None] * diag)
+            * np.exp(-_scale_exponents(seq.k, 1)[0] * (gap * gap)))
 
 
 def _pd_stats(mat, name):
@@ -210,7 +211,7 @@ def _sw_log_coefficients(w: LogNormalWeight, degree: int):
     keeps its digits as q -> 1, where log1p(-exp(i ln q)) loses about four
     digits.  Out-of-range values come back non-finite, without a warning.
     """
-    ln_m0 = base_moment_closed_form(w, 0).ln_abs
+    ln_m0 = base_moment_closed_form(w, 0)
     n, ln_q = np.arange(degree + 1), w.ln_q
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ln_qq = np.concatenate(([0.0], np.cumsum(np.log(-np.expm1(n[1:] * ln_q)))))
@@ -262,9 +263,12 @@ def stieltjes_wigert_check(
     if hhat is None:
         raise ValueError("an even moment is not positive; the sequence has no Gram matrix")
     sign, ln_c, ln_h, ln_qq = _sw_log_coefficients(w, degree)  # checks w
-    diag_ln = np.array([seq[2 * j].ln_abs for j in range(degree + 1)])
+    m = np.asarray(seq.mantissas[:need])
+    with np.errstate(divide="ignore"):
+        ln_m = np.log(np.abs(m)) + _scale_exponents(seq.k, need)
+    diag_ln = ln_m[::2]
     # ln_h[0] is the weight's ln M_0; a zero moment is exact and adds no rounding
-    big_l = max([abs(ln_h[0])] + [abs(v.ln_abs) for v in seq.values[:need] if v.sign])
+    big_l = max([abs(ln_h[0])] + np.abs(ln_m[m != 0.0]).tolist())
     with np.errstate(over="ignore", invalid="ignore"):
         b = sign * np.exp(ln_c + 0.5 * diag_ln - 0.5 * ln_h[:, None])
         cancel = float(np.max(np.abs(b) @ np.abs(hhat) @ np.abs(b).T))

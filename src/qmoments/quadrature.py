@@ -67,12 +67,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
 from ._dd import phase_angle_split
-from .logscale import LogScaled
 from .measures import (
     _MAX_HARMONIC,
     BudgetExceededError,
@@ -85,6 +84,7 @@ from .measures import (
 )
 
 __all__ = [
+    "LogScaled",
     "QuadratureResult",
     "BudgetExceededError",
     "integrate_moment",
@@ -127,6 +127,13 @@ _LEADING = 1.0 / np.cumprod(_TWO_L_PLUS_1)
 _ODD = [2.0 * l + 1.0 for l in range(_NODES_PER_PANEL + 36)]
 
 
+class LogScaled(NamedTuple):
+    """``sign * exp(ln_abs)``, for display; zero is ``(0, -inf)``."""
+
+    sign: int
+    ln_abs: float
+
+
 @dataclass(frozen=True)
 class QuadratureResult:
     """One verified integral with its error budget.
@@ -160,10 +167,10 @@ class QuadratureResult:
     @property
     def value(self) -> LogScaled:
         """The integral itself, for display: ln_scale + ln|mantissa|, rounded."""
-        if self.mantissa == 0.0:
-            return LogScaled.zero()
-        sign = 1 if self.mantissa > 0.0 else -1
-        return LogScaled(sign, self.ln_scale + math.log(abs(self.mantissa)))
+        m = self.mantissa
+        if m == 0.0:
+            return LogScaled(0, -math.inf)
+        return LogScaled(1 if m > 0.0 else -1, self.ln_scale + math.log(abs(m)))
 
 
 def _center_residuals(k: float, n: int):
@@ -552,13 +559,13 @@ def _vanishing_orders(w, orders, j, rel_tol=1e-12):
     return _each_order(k, orders, [(j, "sine")], grid, result)
 
 
-def base_moment_closed_form(w: LogNormalWeight, n: int) -> LogScaled:
-    """``exp((n+1)**2 / (4 k**2))``, symbolically, for any integer n."""
+def base_moment_closed_form(w: LogNormalWeight, n: int) -> float:
+    """ln M_n = (n+1)**2 / (4 k**2), rounded once, for any integer n."""
     if not isinstance(w, LogNormalWeight):
         raise ValueError(f"expected a LogNormalWeight, got {w!r}")
     n = _check_int(n, "moment order", -_MAX_ORDER, _MAX_ORDER)
     try:
-        return LogScaled.exp(_center_residuals(w.k, n)[1])
+        return _center_residuals(w.k, n)[1]
     except OverflowError:
         raise BudgetExceededError(
             f"no float64 exponent for order n={n} at k={w.k!r}: (n+1)**2/(4 k**2) "

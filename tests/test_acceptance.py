@@ -275,7 +275,7 @@ def test_criterion_9_moment_sign_guard(tmp_path):
     closed = base_moment_closed_form(w, 1)
     r = integrate_moment(w, 1)
     quad_ln = r.value.ln_abs
-    right = closed.ln_abs == 1.0 and abs(quad_ln - 1.0) <= 1e-12
+    right = closed == 1.0 and abs(quad_ln - 1.0) <= 1e-12
     wrong_rejected = abs(quad_ln - (-1.0)) > 1.9
     note_names_both = ("exp(+(n+1)**2 / (4*k**2))" in MOMENT_SIGN_NOTE
                        and "q**(+(n+1)**2/2)" in MOMENT_SIGN_NOTE)

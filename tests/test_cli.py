@@ -53,7 +53,7 @@ class TestReportShape:
         )
         assert code == 0
         h = rep["header"]
-        assert h["schema_version"] == 7
+        assert h["schema_version"] == 8
         assert h["command"] == "vanish"
         assert "backend" not in h
         assert h["moment_convention"] == MOMENT_SIGN_NOTE
@@ -222,7 +222,9 @@ class TestExitCodes:
         (["moments", "--modulator", '{"k": 1.0, "lambda": 0.5, "weierstrass": '
           '{"a": 0.5, "b": 3, "N": 1000000000, "kind": "sine"}}'],
          "terms must be <= 10000"),
-    ], ids=["n-span", "j-span", "holder-depth", "weierstrass-N"])
+        (["vanish", "--n", "0..9999", "--j", "1..10000"],
+         "vanish asks for 300000000 cases (k x n x j), at most 50000"),
+    ], ids=["n-span", "j-span", "holder-depth", "weierstrass-N", "vanish-cases"])
     def test_oversized_input_exits_two_at_once(self, args, bound, capsys):
         # unbounded, each of these built 10**9 or more values before any
         # check could refuse it: a MemoryError traceback or a run of minutes
@@ -234,6 +236,15 @@ class TestExitCodes:
         assert code == 2 and time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert bound in err and "Traceback" not in err
+
+    def test_case_bound_counts_k_n_and_j(self, monkeypatch):
+        monkeypatch.setattr(cli, "_vanish_cases", lambda *args: [])
+        ns = cli._build_parser().parse_args(
+            ["vanish", "--k", "1", "--k", "2", "--n", "0..4999", "--j", "1..5"])
+        assert cli.run_vanish(ns) == []  # 2 x 5000 x 5 = 50 000, admitted
+        ns.j += (6,)
+        with pytest.raises(cli.ConfigError, match="asks for 60000 cases"):
+            cli.run_vanish(ns)
 
     def test_span_bound_counts_values(self):
         assert cli._parse_span("-5000..4999") == tuple(range(-5000, 5000))
@@ -589,9 +600,10 @@ _API_3 = [
 ]
 # schema 4 changed the verdict rule, schema 5 every seed's sample points
 # and schema 6 QuadratureResult's fields, none of them __all__; schema 7
-# dropped QuadratureSpec and QDerivativeSample
+# dropped QuadratureSpec and QDerivativeSample; schema 8 changed the fields
+# of MomentSequence and LogScaled and the methods of LogScaled
 _API_7 = [name for name in _API_3 if name not in ("QuadratureSpec", "QDerivativeSample")]
-PUBLIC_API = {3: _API_3, 4: _API_3, 5: _API_3, 6: _API_3, 7: _API_7}
+PUBLIC_API = {3: _API_3, 4: _API_3, 5: _API_3, 6: _API_3, 7: _API_7, 8: _API_7}
 
 
 def test_public_api_is_frozen_with_the_schema_version():

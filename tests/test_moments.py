@@ -10,6 +10,7 @@ rounding and quadrature error.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,10 +19,11 @@ from hypothesis import given, settings, strategies as st
 from test_measures import trig_modulator, weier_modulator
 
 import oracles
-from qmoments.logscale import LogScaled
 from qmoments.measures import BudgetExceededError, LogNormalWeight, PerturbedDensity
 from qmoments.moments import (
     MomentSequence,
+    _normalized_hankel,
+    _scale_exponents,
     _sw_log_coefficients,
     hankel_check,
     stieltjes_wigert_check,
@@ -53,24 +55,35 @@ class TestMomentSequence:
     def test_closed_form_values(self):
         seq = closed_seq(1.0, 5)
         assert len(seq) == 5
-        assert seq[0].ln_abs == pytest.approx(0.25, abs=1e-16)
-        assert seq[3].ln_abs == pytest.approx(4.0, abs=1e-15)
+        # M_n = 1 * exp((n+1)**2 / 4): ln M_0 = 1/4 and ln M_3 = 4
+        assert seq.mantissas == (1.0,) * 5
+        assert _scale_exponents(seq.k, 5).tolist() == [0.25, 1.0, 2.25, 4.0, 6.25]
         assert max(seq.error_estimates) == 0.0
         assert seq.k == 1.0
 
     def test_from_values_mixed(self):
-        seq = MomentSequence.from_values([2.0, LogScaled.exp(1.0), 3.5])
-        assert seq[0].ln_abs == pytest.approx(math.log(2.0))
-        assert seq[1].ln_abs == 1.0
-        assert seq.k is None
+        seq = MomentSequence.from_values([2.0, 1, np.float32(3.5)])
+        assert seq.mantissas == (2.0, 1.0, 3.5)
+        assert all(type(m) is float for m in seq.mantissas)
+        assert seq.error_estimates == (0.0,) * 3
+        assert seq.k is None and _scale_exponents(seq.k, 3).tolist() == [0.0] * 3
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            MomentSequence(values=(), error_estimates=())
+            MomentSequence(mantissas=(), error_estimates=())
         with pytest.raises(ValueError):
-            MomentSequence(values=(1.0,), error_estimates=(0.0,))
-        with pytest.raises(ValueError):
-            MomentSequence(values=(LogScaled.exp(0.0),), error_estimates=())
+            MomentSequence(mantissas=(1.0,), error_estimates=())
+        # no product of two admitted mantissas leaves the float64 range
+        for bad in (math.nan, math.inf, -math.inf, 2.0**501, -(2.0**-501), 5e-324):
+            with pytest.raises(ValueError, match="mantissa must be 0 or within"):
+                MomentSequence(mantissas=(1.0, bad), error_estimates=(0.0, 0.0))
+            with pytest.raises(ValueError, match="mantissa must be 0 or within"):
+                MomentSequence.from_values([bad])
+        MomentSequence.from_values([0.0, 2.0**500, -(2.0**-500)])
+        rep = hankel_check(MomentSequence.from_values([2.0**-500, 0.0, 2.0**500, 0.0]))
+        assert rep.positive_definite and rep.min_eigenvalue == 1.0
+        with pytest.raises(BudgetExceededError, match=r"n=2 at k=1e-154"):
+            MomentSequence.closed_form(LogNormalWeight(1e-154), 4)
         with pytest.raises(ValueError):
             MomentSequence.closed_form(LogNormalWeight(1.0), 0)
         with pytest.raises(ValueError):
@@ -118,6 +131,21 @@ class TestHankel:
         assert not rep.shifted_positive_definite
         assert math.isnan(rep.shifted_min_eigenvalue)
         assert math.isnan(rep.shifted_condition)
+
+    def test_scales_cancel_exactly_in_quadrature_moments(self):
+        # M_n = m_n exp((n+1)**2 / (4 k**2)): the scales cancel to the
+        # Gaussian Toeplitz factor, so each entry keeps the mantissas' few
+        # ulps.  Cancelling rounded logs of the moments lost eps * sigma,
+        # 5e-14 here, where sigma reaches 169 / 0.36.
+        k = 0.3
+        d = PerturbedDensity.of(trig_modulator(k, 0.9, [(1.0, 1, "sine")]))
+        seq = MomentSequence.from_quadrature(d, 13)
+        step = float(1 / (4 * Fraction(k) ** 2))  # 1/(4 k**2), rounded once
+        for dim, shift in ((7, 0), (6, 1)):
+            i = np.arange(dim)
+            gauss = np.exp(-((i[:, None] - i) ** 2) * step)
+            hhat = _normalized_hankel(seq, dim, shift)
+            assert np.max(np.abs(hhat / gauss - 1.0)) <= 1e-15
 
     def test_dim_validation(self):
         seq = closed_seq(1.0, 6)
@@ -256,7 +284,7 @@ class TestSharedMomentStructure:
     def test_moment_errors_enter_the_bound(self):
         # the same moments with a stated relative error of 1e-9 each
         seq = closed_seq(1.0)
-        noisy = MomentSequence(seq.values, (1e-9,) * len(seq), k=1.0)
+        noisy = MomentSequence(seq.mantissas, (1e-9,) * len(seq), k=1.0)
         w = LogNormalWeight(1.0)
         exact = stieltjes_wigert_check(w, seq, 6)
         rep = stieltjes_wigert_check(w, noisy, 6)

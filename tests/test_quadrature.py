@@ -20,12 +20,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 from test_measures import trig_modulator, weier_modulator
 
 from qmoments import quadrature as qd
-from qmoments.logscale import LogScaled
 from qmoments.measures import LogNormalWeight, PerturbedDensity, modulator_from_dict
 from qmoments.moments import MomentSequence
 from qmoments.quadrature import (
     MOMENT_SIGN_NOTE,
     BudgetExceededError,
+    LogScaled,
+    QuadratureResult,
     base_moment_closed_form,
     integrate_moment,
     modulator_moment_factor,
@@ -72,7 +73,7 @@ def test_base_moment_matches_closed_form(k, n):
     # honesty: the mantissa is relative to the exact exp(sigma), so the
     # estimate covers the deviation with no allowance for sigma's rounding
     assert dev <= r.error_estimate
-    assert r.ln_scale == base_moment_closed_form(w, n).ln_abs
+    assert r.ln_scale == base_moment_closed_form(w, n)
     assert r.series_tail_budget == 0.0
     assert r.nodes_used > 0
     if (k, n) in FROZEN_BASE_LN:
@@ -86,8 +87,8 @@ def test_moment_sign_convention_positive_exponent():
     r = integrate_moment(w, 1)
     assert abs(r.value.ln_abs - 1.0) < 1e-9
     assert r.value.ln_abs > 0.0
-    wrong = LogScaled.exp(-1.0)
-    assert r.value.ln_abs - wrong.ln_abs > math.log(2.0)  # |r / wrong - 1| > 1
+    wrong_ln = -1.0
+    assert r.value.ln_abs - wrong_ln > math.log(2.0)  # |r / wrong - 1| > 1
     r3 = integrate_moment(LogNormalWeight(0.5), 3)
     assert abs(r3.value.ln_abs - 16.0) < 1e-8
     assert "exp(+(n+1)**2 / (4*k**2))" in MOMENT_SIGN_NOTE
@@ -96,13 +97,21 @@ def test_moment_sign_convention_positive_exponent():
 
 def test_huge_order_stays_finite():
     # sigma = 41^2/(4 * 0.35^2) ~ 3430; the float moment overflows but the
-    # log-scaled pipeline keeps full relative accuracy.
+    # mantissa beside its scale keeps full relative accuracy.
     w = LogNormalWeight(0.35)
     r = integrate_moment(w, 40)
     closed = base_moment_closed_form(w, 40)
-    assert math.isinf(r.value.to_float())
+    assert r.value.ln_abs > math.log(sys.float_info.max)
     assert abs(r.mantissa - 1.0) <= 1e-11
-    assert abs(r.value.ln_abs - closed.ln_abs) <= 1e-9
+    assert abs(r.value.ln_abs - closed) <= 1e-9
+
+
+def test_value_of_a_zero_mantissa_is_zero():
+    r = QuadratureResult(0.0, 12.5, 1e-16, 0.0, 0.0, 32, 1.0)
+    assert r.value == LogScaled(0, -math.inf) == (0, -math.inf)
+    assert r.value.sign == 0 and r.value.ln_abs == -math.inf
+    negative = QuadratureResult(-2.0, 12.5, 1e-16, 0.0, 0.0, 32, 1.0).value
+    assert negative == (-1, 12.5 + math.log(2.0))
 
 
 @pytest.mark.parametrize("k, lam, modes, n, expected", FROZEN_RATIOS)
@@ -228,7 +237,7 @@ def test_vanishing_integral_sweep(k):
     w = LogNormalWeight(k)
     scale_tail = math.log(math.sqrt(math.pi) / k)
     for n in range(7):
-        sigma = base_moment_closed_form(w, n).ln_abs
+        sigma = base_moment_closed_form(w, n)
         for j in range(1, 5):
             r = vanishing_integral(w, n, j)
             small = abs(r.mantissa)
@@ -310,7 +319,7 @@ def test_moment_order_validation():
 
 
 @pytest.mark.parametrize("n", [10, 20, 40])
-def test_error_estimate_covers_log_scale_granularity(n):
+def test_error_estimate_stays_tight_at_large_scale(n):
     # The battery's mix modulator at k = 0.45: sigma = (n+1)^2/(4 k^2)
     # reaches ~2075 at n = 40, where a value kept as the rounded sum sigma
     # + ln|mantissa| would carry ~eps * sigma (4.6e-13) of granularity.  The
@@ -324,7 +333,7 @@ def test_error_estimate_covers_log_scale_granularity(n):
 
 @pytest.mark.parametrize("k, lam, n", [(0.1, 0.9, 12), (0.1, 0.99, 72), (0.15, 0.9, 9),
                                        (0.15, 0.9, 54)])
-def test_log_scale_granularity_scales_with_the_factor(k, lam, n):
+def test_rounding_bound_scales_with_the_factor(k, lam, n):
     # A cosine mode at small k lifts every moment by up to 1.67x, and the
     # bound's rounding terms must grow with it; a bound taken relative to
     # the scale alone once missed each of these by 2-37%.
@@ -333,13 +342,13 @@ def test_log_scale_granularity_scales_with_the_factor(k, lam, n):
     assert abs(r.mantissa - modulator_moment_factor(d.modulator)) <= r.error_estimate
 
 
-def test_vanishing_error_estimate_scales_granularity_by_value():
+def test_vanishing_rounding_bound_is_relative_to_the_value():
     # A vanishing integral's value is ~0, so the rounding of its mantissa
     # is relative to that value, not to the scale; an eps * sigma term of
     # the scale (~4.6e-13 at n = 40) would loosen the very comparison that
     # tests the identity.
     w = LogNormalWeight(0.45)
-    sigma = base_moment_closed_form(w, 40).ln_abs
+    sigma = base_moment_closed_form(w, 40)
     r = vanishing_integral(w, 40, 1)
     assert r.rel_quad_error < 0.1 * 2.220446049250313e-16 * sigma
     assert abs(r.mantissa) <= r.error_estimate
@@ -520,7 +529,7 @@ def test_closed_form_without_a_float64_exponent_is_a_named_refusal(k):
     w = LogNormalWeight(k)
     with pytest.raises(BudgetExceededError, match=re.escape(f"n=0 at k={k!r}")):
         base_moment_closed_form(w, 0)
-    assert base_moment_closed_form(w, -1) == LogScaled.exp(0.0)
+    assert base_moment_closed_form(w, -1) == 0.0
 
 
 def test_tiny_k_integrates_where_sigma_is_zero():
